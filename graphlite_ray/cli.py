@@ -30,7 +30,10 @@ def main(argv=None) -> int:
         sp.add_argument("--work", required=True, help="work dir (stages + checkpoints)")
         sp.add_argument("--partitions", "-P", type=int, default=8)
         sp.add_argument("--ckpt-every", type=int, default=0)
-        sp.add_argument("--max-supersteps", type=int, default=200)
+        sp.add_argument(
+            "--max-supersteps", type=int, default=None,
+            help="superstep cap (default: the program's own bound, else 200)",
+        )
         sp.add_argument("--resume", action="store_true")
         sp.add_argument("--out", help="write (vertex_id, url, value) parquet here")
         sp.add_argument(

@@ -21,11 +21,20 @@ Per-superstep it:
 
 Scale notes: the driver handles only O(P) refs + O(P) small dicts per
 superstep; message data moves partition-to-partition through the object
-store. P is chosen independently of node count; actors reserve
-``min(1, (total_cpus - 2) / P)`` CPUs — fractional so a small test
-session (4 CPUs, P=8) cannot deadlock on actor placement, with 2 CPUs of
-reservation headroom so a P >= cores run never starves the driver loop
-(measured: without it the P=32-on-32-cores superstep floor tripled).
+store. P is chosen independently of node count.
+
+Warm actors: the P partition actors live in one module-level pool keyed on
+(Ray node id, P), so a job that runs several programs over the same shards
+pays actor start-up once, not once per ``run_bsp`` call. Each run starts
+with ``PartitionWorker.begin``, which reloads the shard and resets all
+per-run state, so runs in one process must not overlap (no caller
+threads them). The pool is killed and respawned when P changes or after any
+failed run, and dropped without calling its handles when the Ray session
+changes (a new session has a new node id; Ray aborts the process on a
+``ray.kill`` of an earlier session's handle). Pool actors reserve 0 CPUs and
+are placed by SPREAD: an idle pool holding CPU reservations between runs
+would keep later Ray tasks and Ray Data stages from being scheduled
+(measured on 4 CPUs: 4 idle 1-CPU actors held a trivial task back >15 s).
 """
 
 from __future__ import annotations
@@ -146,12 +155,15 @@ def run_bsp(
     program: VertexProgram,
     graph_dir: str,
     ckpt_dir: str,
-    max_supersteps: int = 200,
+    max_supersteps: int | None = None,
     ckpt_every: int = 0,
     resume: bool = False,
     routing: str = "auto",
 ) -> BSPResult:
     """Run a vertex program over pre-built CSR shards to termination.
+
+    The superstep cap is the smaller of ``max_supersteps`` and the
+    program's own ``max_supersteps``; it is 200 only when neither is given.
 
     ``ckpt_every=0`` checkpoints only at termination (the final values are
     always persisted — they are the result). ``resume=True`` restarts from
@@ -163,13 +175,19 @@ def run_bsp(
     "per_dest"); results are bit-identical across layouts (tested) — only
     the object-store traffic pattern differs (worker.py docstring).
 
+    Partition actors come from the warm pool (module docstring): spawned
+    by the first run with a given P in a Ray session, then reused until P
+    changes, the session ends or a run fails.
+
     Fault tolerance: an actor death mid-superstep (node loss analog) is
-    caught, all actors are recreated, and the run continues from the latest
-    complete checkpoint (or superstep 0 if none — set ``ckpt_every`` to
-    bound re-work), up to ``actor_restarts`` times. The reference hangs or
-    dies in this case (SURVEY.md §4 retries row).
+    caught, the whole pool is killed and respawned, and the run continues
+    from the latest complete checkpoint (or superstep 0 if none — set
+    ``ckpt_every`` to bound re-work), up to ``actor_restarts`` times. The
+    reference hangs or dies in this case (SURVEY.md §4 retries row).
     """
     program.master_init(load_graph_meta(graph_dir))  # Graph::init analog
+    caps = [c for c in (max_supersteps, program.max_supersteps) if c is not None]
+    max_supersteps = min(caps, default=200)
     actor_restarts = 2
     attempt = 0
     while True:
@@ -191,6 +209,16 @@ def run_bsp(
                 raise
 
 
+_pool: tuple[tuple[str, int], list] | None = None  # ((node id, P), workers)
+
+
+def _drop_pool(kill: bool = True) -> None:
+    global _pool
+    for w in _pool[1] if _pool is not None and kill else ():
+        ray.kill(w, no_restart=True)
+    _pool = None
+
+
 def _run_bsp_attempt(
     program: VertexProgram,
     graph_dir: str,
@@ -200,12 +228,10 @@ def _run_bsp_attempt(
     resume: bool,
     routing: str = "grouped",
 ) -> BSPResult:
+    global _pool
     meta = load_graph_meta(graph_dir)
     P = int(meta["P"])
     storage.makedirs(ckpt_dir)
-
-    if program.max_supersteps is not None:
-        max_supersteps = min(max_supersteps, program.max_supersteps)
 
     specs = program.aggregators()
     aggr_global = {k: s.init for k, s in specs.items()}
@@ -233,31 +259,27 @@ def _run_bsp_attempt(
                 return result
             restore_from = m
 
-    total_cpus = ray.cluster_resources().get("CPU", P) or P
-    # leave 2 CPUs of reservation headroom: when P >= total CPUs a full
-    # reservation starves the driver loop and every non-BSP Ray task, and
-    # the superstep barrier floor triples (measured at P=32 on 32 cpus:
-    # 150 -> 52 ms/superstep, 100k-page end-to-end 41 -> 14 s)
-    headroom = 2.0 if total_cpus > 4 else 0.0
-    actor_cpus = min(1.0, max(0.01, (float(total_cpus) - headroom) / max(1, P)))
-    Actor = ray.remote(num_cpus=actor_cpus)(PartitionWorker)
-    workers = [
-        Actor.remote(p, P, graph_dir, program, meta["n_vertices"], routing=routing)
-        for p in range(P)
-    ]
-    ray.get([w.ready.remote() for w in workers])  # surface load errors early
-
+    key = (ray.get_runtime_context().get_node_id(), P)
+    args = (graph_dir, program, meta["n_vertices"], routing)
     try:
+        if _pool is None or _pool[0] != key:
+            # handles from an earlier Ray session are dropped uncalled
+            _drop_pool(kill=_pool is not None and _pool[0][0] == key[0])
+            Actor = ray.remote(num_cpus=0, scheduling_strategy="SPREAD")(PartitionWorker)
+            _pool = (key, [Actor.remote(p, P, *args) for p in range(P)])
+            loaded = [w.ready.remote() for w in _pool[1]]
+        else:
+            loaded = [w.begin.remote(*args) for w in _pool[1]]
+        ray.get(loaded)  # surface load errors early
         return _superstep_loop(
-            program, workers, meta, specs, aggr_global, start_ss, use_restored,
+            program, _pool[1], meta, specs, aggr_global, start_ss, use_restored,
             restore_from, max_supersteps, ckpt_every, ckpt_dir, graph_dir, result,
             cfg_hash, routing,
         )
-    finally:
-        # free actor CPU reservations (state is checkpointed); also runs on
-        # actor-death so a retry starts with a clean slate
-        for w in workers:
-            ray.kill(w, no_restart=True)
+    except BaseException:
+        # whatever failed, the next attempt or run starts on fresh actors
+        _drop_pool()
+        raise
 
 
 def _superstep_loop(

@@ -179,7 +179,7 @@ def run_algorithm(
     pages_dir: str,
     work_dir: str,
     P: int = 8,
-    max_supersteps: int = 200,
+    max_supersteps: int | None = None,
     ckpt_every: int = 0,
     resume: bool = False,
     routing: str = "auto",
@@ -208,7 +208,7 @@ def run_on_edges(
     dst: np.ndarray,
     work_dir: str,
     P: int = 4,
-    max_supersteps: int = 200,
+    max_supersteps: int | None = None,
     ckpt_every: int = 0,
     resume: bool = False,
     weights: np.ndarray | None = None,
@@ -257,7 +257,7 @@ def run_on_edge_dataset(
     work_dir: str,
     P: int = 8,
     tag: str = "",
-    max_supersteps: int = 200,
+    max_supersteps: int | None = None,
     ckpt_every: int = 0,
     resume: bool = False,
     routing: str = "auto",

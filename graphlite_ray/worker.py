@@ -128,7 +128,8 @@ def _combine_block(combiner: str, block: tuple) -> tuple:
 
 
 class PartitionWorker:
-    """Instantiated via ``ray.remote(PartitionWorker)`` by the engine."""
+    """Instantiated via ``ray.remote(PartitionWorker)`` by the engine, which
+    keeps the actor warm across runs and calls ``begin`` to start each one."""
 
     def __init__(
         self,
@@ -141,10 +142,17 @@ class PartitionWorker:
     ):
         self.part_id = part_id
         self.P = P
+        self.begin(graph_dir, program, n_vertices_global, routing)
+
+    def begin(self, graph_dir: str, program: VertexProgram, n_vertices_global: int,
+              routing: str = "grouped") -> None:
+        """Start a run: load the shard and reset all per-run state. The shard
+        is reloaded, not cached: `state/csr.py::add_edges` rewrites a graph
+        dir in place."""
         self.program = program
         self.n_vertices_global = n_vertices_global
         self.routing = routing
-        self.shard = CSRShard.load(graph_dir, part_id, P)  # once per actor
+        self.shard = CSRShard.load(graph_dir, self.part_id, self.P)
         self.values = program.init_values(self.shard)
         self.active = np.ones(self.shard.n, bool)
         self._restored_incoming: list[tuple] | None = None

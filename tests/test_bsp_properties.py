@@ -150,3 +150,16 @@ def test_manifest_lineage_fields(work_dir):
     assert m["graph_meta"]["n_vertices"] == 2
     assert m["complete"] is True
     assert "aggr_global" in m
+
+
+def test_program_bound_beats_default_superstep_cap(work_dir):
+    """The superstep cap is the smaller of the caller's and the program's
+    bounds, and 200 only when neither gives one. DensestSubgraph (bound
+    602) peels a 400-vertex path two endpoints per round: ~200 rounds of
+    two supersteps each, which must end by its own fixpoint."""
+    src = np.arange(399, dtype=np.int64)
+    res = run_on_edges("densest_subgraph", src, src + 1, work_dir, P=2)
+    assert res.halted and res.final_superstep > 200
+    capped = run_on_edges("densest_subgraph", src, src + 1, f"{work_dir}/c", P=2,
+                          max_supersteps=50)
+    assert not capped.halted and capped.final_superstep == 49
