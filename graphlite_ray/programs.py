@@ -180,9 +180,15 @@ class VertexProgram:
 
 def _scatter_to_neighbors(shard: CSRShard, per_vertex_val: np.ndarray, sender_mask: np.ndarray):
     """sendMessageToAllNeighbors, vectorized (`engine/Node.cc:139-145`):
-    every out-edge of every sender carries that sender's value."""
+    every out-edge of every sender carries that sender's value.
+
+    When every vertex sends, the destinations are ``shard.indices`` itself
+    (read-only): the worker recognises that array by identity and routes
+    through its precomputed plan (`worker.py` module docstring)."""
     if shard.nnz == 0:
         return np.empty(0, np.int64), np.empty(0, per_vertex_val.dtype)
+    if sender_mask.all():
+        return shard.indices, per_vertex_val[shard.edge_src_local]
     emask = sender_mask[shard.edge_src_local]
     return shard.indices[emask], per_vertex_val[shard.edge_src_local[emask]]
 

@@ -392,6 +392,10 @@ class CSRShard:
         indptr = np.zeros(len(vids) + 1, np.int64)
         np.cumsum(counts, out=indptr[1:])
         edge_src_local = np.repeat(np.arange(len(vids), dtype=np.int64), counts)
+        # read-only: programs get `indices` itself as their message
+        # destinations, and the worker's routing plan is built from it
+        for a in (vids, indices, indptr, edge_src_local):
+            a.setflags(write=False)
         return CSRShard(
             part_id=part_id,
             P=P,

@@ -43,6 +43,32 @@ by the engine's ``routing`` option, default auto by cluster size):
 
 Both layouts are bit-identical in results (tested) and checkpoint the same
 way (``last_out`` keeps the dict layout regardless).
+
+Static routing plan. The graph does not change during a run, so when a
+program sends on EVERY out-edge in CSR order (PageRank, Katz, eigenvector,
+LPA, CC's superstep 0), its destination ids are exactly ``shard.indices``.
+`_scatter_to_neighbors` signals that case by returning ``shard.indices``
+itself, and ``step`` tests ``out.out_dst is self.shard.indices``: no
+`ComputeOut` field or option marks it. On the first such "sum" superstep of
+a run the worker builds a `RoutingPlan` from ``np.unique(indices,
+return_inverse=True)``: each edge's slot among the unique ids, with the
+slots ordered by destination partition, and each partition's ids. The
+combine then is one ``np.bincount`` over the slots and the split is P
+precomputed slices. It adds in the same order as `combine_sum` followed by
+the stable partition split, so blocks are bit-identical to the sort path
+(tested). Other combiners keep the sort path: for LPA's "sum_by_key", one
+stable sort of an int64 (slot, label rank) composite measured no faster
+than `combine_sum_by_key` plus the split. On the consumer side each worker caches ``local_index(dst)`` per
+producer and reuses it while ``np.array_equal`` shows the same ids, which
+skips the ``searchsorted`` for every combiner.
+
+The ``dst`` id column stays on the wire even though a consumer could map
+planned values to its rows by position. A prototype that dropped it made
+PageRank blocks on the 20k-page benchmark crawl (P=4) about 88 KiB, under
+Ray's 100 KiB inline-object limit, so payloads rode inside the replies
+through the driver instead of the object store: driver peak RSS rose from
+243 MB to 584-699 MB, breaking the engine's rule that payloads never reach
+the driver.
 """
 
 from __future__ import annotations
@@ -124,6 +150,51 @@ def _combine_block(combiner: str, block: tuple) -> tuple:
     return _combine_by_key(combiner, block[0], block[1], block[2])
 
 
+def _slices(bounds: np.ndarray, cols) -> dict[int, tuple]:
+    """{j: rows bounds[j]:bounds[j + 1] of every column}, empty j left out."""
+    return {
+        j: tuple(c[bounds[j]:bounds[j + 1]] for c in cols)
+        for j in range(len(bounds) - 1)
+        if bounds[j + 1] > bounds[j]
+    }
+
+
+def _split_by_partition(payload: tuple, P: int) -> dict[int, tuple]:
+    """Stable split of combined rows by destination partition (id % P)."""
+    part = (payload[0] % np.int64(P)).astype(np.int64)
+    order = np.argsort(part, kind="stable")
+    return _slices(np.searchsorted(part[order], np.arange(P + 1)), [a[order] for a in payload])
+
+
+# ------------------------------------------------------------ routing plan
+
+
+class RoutingPlan:
+    """Combine-and-route slots for messages sent on every out-edge in CSR
+    order, computed once from the shard's static ``indices``.
+
+    The unique destination ids are laid out grouped by partition (ascending
+    id within each); ``slot[e]`` is edge e's position in that layout and
+    ``bounds[j]:bounds[j + 1]`` is partition j's range of it."""
+
+    def __init__(self, indices: np.ndarray, P: int):
+        u, inv = np.unique(indices, return_inverse=True)
+        part = u % np.int64(P)
+        order = np.argsort(part, kind="stable")
+        rank = np.empty(len(u), np.int64)
+        rank[order] = np.arange(len(u))
+        self.slot = rank[inv]
+        self.n_slots = len(u)
+        self.bounds = np.searchsorted(part[order], np.arange(P + 1))
+        self.ids = u[order]
+        self.ids.setflags(write=False)
+
+    def sum(self, val: np.ndarray) -> dict[int, tuple]:
+        """`combine_sum` + split: bincount adds each slot's values in edge
+        order, as `combine_sum`'s bincount over ``np.unique``'s inverse does."""
+        return _slices(self.bounds, (self.ids, np.bincount(self.slot, weights=val, minlength=self.n_slots)))
+
+
 # ------------------------------------------------------------------- worker
 
 
@@ -155,8 +226,10 @@ class PartitionWorker:
         self.shard = CSRShard.load(graph_dir, self.part_id, self.P)
         self.values = program.init_values(self.shard)
         self.active = np.ones(self.shard.n, bool)
-        self._restored_incoming: list[tuple] | None = None
+        self._restored_incoming: list[tuple[int, tuple]] | None = None
         self.last_out: dict[int, tuple] = {}
+        self._plan: RoutingPlan | None = None
+        self._idx_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def ready(self) -> int:
         return self.shard.n
@@ -165,24 +238,24 @@ class PartitionWorker:
 
     def step(self, superstep: int, aggr_global: dict, *incoming, use_restored: bool = False):
         t0 = time.perf_counter()
+        # (producer, block) pairs in producer order
         if use_restored:
-            blocks = self._restored_incoming or []
+            pairs = self._restored_incoming or []
         elif self.routing == "per_dest":
             # incoming = P per-destination blocks, each addressed to THIS
             # partition only (the driver routed producer i's j-th return
             # object to consumer j)
-            blocks = [b for b in incoming if b is not None and len(b[0])]
+            pairs = [(i, b) for i, b in enumerate(incoming) if b is not None and len(b[0])]
         else:
             # incoming = P grouped producer objects (zero-copy plasma views);
             # pick this partition's entry from each
-            blocks = []
-            for g in incoming:
-                if not g:
-                    continue
-                b = g.get(self.part_id)
+            pairs = []
+            for i, g in enumerate(incoming):
+                b = g.get(self.part_id) if g else None
                 if b is not None and len(b[0]):
-                    blocks.append(b)
+                    pairs.append((i, b))
         self._restored_incoming = None
+        blocks = [b for _, b in pairs]
         combiner = self.program.combiner
 
         # 1. delivery (reference `deliverAllNewNodeMsg`,
@@ -190,9 +263,8 @@ class PartitionWorker:
         recv = 0
         inbox = Inbox(idx=np.empty(0, np.int64), val=np.empty(0, np.float64))
         if blocks:
-            dst = np.concatenate([b[0] for b in blocks])
-            recv = int(len(dst))
-            idx = self.shard.local_index(dst)
+            idx = np.concatenate([self._local_index(i, b[0]) for i, b in pairs])
+            recv = int(len(idx))
             if combiner == "none":
                 # raw delivery: one inbox row per message, sender preserved
                 src = np.concatenate([b[1] for b in blocks])
@@ -242,23 +314,18 @@ class PartitionWorker:
         #    (reference routing `engine/Node.cc:103-137`; combining is our
         #    addition, legal per SURVEY.md §2.12, vital for hub skew §4)
         blocks_out: dict[int, tuple] = {}
-        if out.out_dst is not None and len(out.out_dst):
+        if combiner == "sum" and out.out_dst is self.shard.indices and len(out.out_dst):
+            if self._plan is None:
+                self._plan = RoutingPlan(self.shard.indices, self.P)
+            blocks_out = self._plan.sum(out.out_val)
+        elif out.out_dst is not None and len(out.out_dst):
             if combiner == "none":
                 payload = (out.out_dst, out.out_src, out.out_val)  # uncombined
             elif combiner in _BY_KEY:
-                d, k, c = _combine_by_key(combiner, out.out_dst, out.out_key, out.out_val)
-                payload = (d, k, c)
+                payload = _combine_by_key(combiner, out.out_dst, out.out_key, out.out_val)
             else:
-                d, v = _combine_block(combiner, (out.out_dst, out.out_val))
-                payload = (d, v)
-            part = (payload[0] % np.int64(self.P)).astype(np.int64)
-            order = np.argsort(part, kind="stable")
-            sorted_part = part[order]
-            bounds = np.searchsorted(sorted_part, np.arange(self.P + 1))
-            for j in range(self.P):
-                lo, hi = bounds[j], bounds[j + 1]
-                if hi > lo:
-                    blocks_out[j] = tuple(a[order[lo:hi]] for a in payload)
+                payload = _combine_block(combiner, (out.out_dst, out.out_val))
+            blocks_out = _split_by_partition(payload, self.P)
         self.last_out = blocks_out
 
         meta = {
@@ -275,6 +342,17 @@ class PartitionWorker:
             # P separate objects; the driver hands each to ONE consumer
             return tuple([meta] + [blocks_out.get(j) for j in range(self.P)])
         return meta, (blocks_out or None)
+
+    def _local_index(self, producer: int, dst: np.ndarray) -> np.ndarray:
+        """``shard.local_index(dst)``, cached per producer: a producer that
+        sends on every edge ships the same ids each superstep."""
+        hit = self._idx_cache.get(producer)
+        if hit is not None and np.array_equal(hit[0], dst):
+            return hit[1]
+        idx = self.shard.local_index(dst)
+        # copy: dst may be a plasma view that would pin the producer's object
+        self._idx_cache[producer] = (dst.copy(), idx)
+        return idx
 
     # -- checkpoint / restore (north rule; reference has none — SURVEY.md §4)
 
@@ -335,35 +413,20 @@ class PartitionWorker:
             self.program.load_extra(
                 {c: et[c].to_numpy(zero_copy_only=False) for c in et.column_names}
             )
-        blocks = []
+        pairs = []
         names = fnmatch.filter(storage.listdir(d), f"msgs_s*_d{self.part_id}.parquet")
-        for name in sorted(names):
+        if self.program.combiner in _BY_KEY:
+            cols = ("dst", "key", "cnt")
+        elif self.program.combiner == "none":
+            cols = ("dst", "src", "val")
+        else:
+            cols = ("dst", "val")
+        # producer order, as live delivery: name order would put s10 before s2
+        for producer, name in sorted((int(n[len("msgs_s"):n.index("_d")]), n) for n in names):
             t = storage.read_table(storage.join(d, name))
-            if self.program.combiner in _BY_KEY:
-                blocks.append(
-                    (
-                        t["dst"].to_numpy(zero_copy_only=False),
-                        t["key"].to_numpy(zero_copy_only=False),
-                        t["cnt"].to_numpy(zero_copy_only=False),
-                    )
-                )
-            elif self.program.combiner == "none":
-                blocks.append(
-                    (
-                        t["dst"].to_numpy(zero_copy_only=False),
-                        t["src"].to_numpy(zero_copy_only=False),
-                        t["val"].to_numpy(zero_copy_only=False),
-                    )
-                )
-            else:
-                blocks.append(
-                    (
-                        t["dst"].to_numpy(zero_copy_only=False),
-                        t["val"].to_numpy(zero_copy_only=False),
-                    )
-                )
-        self._restored_incoming = blocks
-        return sum(len(b[0]) for b in blocks)
+            pairs.append((producer, tuple(t[c].to_numpy(zero_copy_only=False) for c in cols)))
+        self._restored_incoming = pairs
+        return sum(len(b[0]) for _, b in pairs)
 
 
 _atomic = storage.write_table_atomic
