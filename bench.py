@@ -18,7 +18,7 @@ two cpuset-enforced CPU budgets over the SAME input (sandbox proxy for
 the north rule's N vs 4N cluster sizes), prints both throughputs + the
 scaling efficiency, and records the result in BASELINE.md markers.
 
---routing: grouped vs per_dest message layouts swept over partition
+--routing: mailbox vs per_dest message layouts swept over partition
 counts (GLR_ROUTING_PARTS, default 32,64,128).
 
 The graph workload is the deterministic synthetic page table (seeded; no
@@ -816,7 +816,7 @@ def _engine_bench(num_cpus: int, routing: str | None = None) -> dict:
 
 def _routing_compare(num_cpus: int) -> dict:
     """Superstep throughput under BOTH message-routing layouts on the same
-    prebuilt shards: grouped (P objects/superstep, single-node optimum) vs
+    prebuilt shards: mailbox (shared-memory files, single node) vs
     per_dest (P^2 objects, each shipped to exactly one consumer — the
     multi-node layout, reference Sender.cc analog). Results are
     bit-identical (tested), only transport differs.
@@ -824,7 +824,7 @@ def _routing_compare(num_cpus: int) -> dict:
     Swept over partition counts (default 32,64,128 — override with
     GLR_ROUTING_PARTS="32,64") to characterize the per_dest layout's
     O(P^2) object-count overhead BEFORE it matters on a real cluster:
-    the summary names the P level where grouped/per_dest diverges most."""
+    the summary names the P level where mailbox/per_dest diverges most."""
     p_levels = [
         int(x)
         for x in os.environ.get("GLR_ROUTING_PARTS", "32,64,128").split(",")
@@ -835,16 +835,16 @@ def _routing_compare(num_cpus: int) -> dict:
     for p in p_levels:
         os.environ["GLR_SCALE_PARTS"] = str(p)
         row: dict = {}
-        for r in ("grouped", "per_dest"):
+        for r in ("mailbox", "per_dest"):
             res = _engine_bench(num_cpus, routing=r)
             row[r] = {
                 k: res[k]
                 for k in ("edges_per_s", "superstep_wall_s", "supersteps")
             }
-        row["grouped_over_per_dest"] = round(
-            row["grouped"]["edges_per_s"] / max(row["per_dest"]["edges_per_s"], 1), 3
+        row["mailbox_over_per_dest"] = round(
+            row["mailbox"]["edges_per_s"] / max(row["per_dest"]["edges_per_s"], 1), 3
         )
-        ratios[p] = row["grouped_over_per_dest"]
+        ratios[p] = row["mailbox_over_per_dest"]
         out[f"P{p}"] = row
     worst = max(ratios, key=lambda p: ratios[p])
     out["per_dest_overhead_worst_at_P"] = worst

@@ -38,7 +38,7 @@ def main(argv=None) -> int:
         sp.add_argument("--out", help="write (vertex_id, url, value) parquet here")
         sp.add_argument(
             "--routing",
-            choices=["auto", "grouped", "per_dest"],
+            choices=["auto", "mailbox", "per_dest"],
             default="auto",
             help="message-exchange layout (auto = by cluster size)",
         )

@@ -3,25 +3,30 @@
 
 The driver loop IS the superstep barrier (C1): every iteration issues one
 `step` call per partition actor, and collecting the per-partition metadata
-(`ray.get` on the first return object only — message payloads are routed as
-object refs, never fetched by the driver) is the synchronization point.
-Per-superstep it:
+(`ray.get` on the metas only — message payloads never reach the driver)
+is the synchronization point. Per-superstep it:
 
   - merges aggregator partials into globals that become visible to
     `compute()` in the NEXT superstep (reference `engine/Master.cc:354-366`
     merge + `MW.nextss_start` broadcast; the ss k -> k+1 visibility
     off-by-one of `example/PageRankVertex.cc:152-157`),
   - sums the built-in counters (computed / sent / recv / active — the
-    analog of `WM.curss_finish.proto:8-20`),
+    analog of `WM.curss_finish.proto:8-20`) and keeps the slowest
+    partition's step and exchange times (``max_part_wall_s``,
+    ``max_part_exchange_s``) in every superstep's totals and manifest,
   - evaluates termination rule C4: user master hook OR
     (active == 0 AND sent == 0) (`engine/Master.cc:429-431`),
   - optionally checkpoints every partition + writes an atomic JSON lineage
     manifest (superstep, per-partition metrics, aggregators, config hash) —
     the north rule's resumability, absent in the reference (SURVEY.md §4).
 
-Scale notes: the driver handles only O(P) refs + O(P) small dicts per
-superstep; message data moves partition-to-partition through the object
-store. P is chosen independently of node count.
+Scale notes: the driver handles O(P) small metas per superstep and never
+touches message payloads. On one node the payloads move through per-run
+shared-memory mailbox files (`worker.py` docstring): each consumer gets
+the P producers' posts (O(P) small entries each) and reads its blocks from
+/dev/shm without a copy into or out of Ray's object store. Across nodes
+the P^2 per-destination blocks are Ray objects, each routed to one
+consumer. P is chosen independently of node count.
 
 Warm actors: the P partition actors live in one module-level pool keyed on
 (Ray node id, P), so a job that runs several programs over the same shards
@@ -51,7 +56,13 @@ import ray.data
 from graphlite_ray.programs import VertexProgram
 from graphlite_ray.state import storage
 from graphlite_ray.state.csr import load_graph_meta
-from graphlite_ray.worker import PartitionWorker
+from graphlite_ray.worker import (
+    MAILBOX_DIR,
+    PartitionWorker,
+    create_mailbox,
+    mailbox_prefix,
+    remove_mailbox,
+)
 
 ENGINE_VERSION = "1"
 
@@ -138,17 +149,20 @@ def latest_checkpoint(ckpt_dir: str, expect_hash: str | None = None) -> dict | N
 
 
 def resolve_routing(routing: str) -> str:
-    """"auto" -> "grouped" on a single-node cluster (P plasma objects per
-    superstep, zero-copy fan-out) / "per_dest" on multi-node (P^2 objects,
-    each shipped to exactly one consumer node — no network amplification).
-    See worker.py's routing docstring for the measured tradeoff."""
-    if routing != "auto":
-        return routing
-    try:
-        alive = sum(1 for n in ray.nodes() if n.get("Alive"))
-    except Exception:
-        alive = 1
-    return "grouped" if alive <= 1 else "per_dest"
+    """"auto" -> "mailbox" on a single alive node with /dev/shm (payloads
+    through shared-memory files, control on actor calls) / "per_dest"
+    otherwise (P^2 Ray objects, each shipped to exactly one consumer node).
+    See worker.py's routing docstring."""
+    if routing == "auto":
+        try:
+            alive = sum(1 for n in ray.nodes() if n.get("Alive"))
+        except Exception:
+            alive = 1
+        single = alive <= 1 and os.path.isdir(MAILBOX_DIR)
+        return "mailbox" if single else "per_dest"
+    if routing not in ("mailbox", "per_dest"):
+        raise ValueError(f"routing must be auto, mailbox or per_dest, not {routing!r}")
+    return routing
 
 
 def run_bsp(
@@ -171,9 +185,12 @@ def run_bsp(
     are reloaded per partition and the loop continues at the next superstep,
     bit-identical to an uninterrupted run (tested).
 
-    ``routing`` selects the message-exchange layout ("auto" | "grouped" |
-    "per_dest"); results are bit-identical across layouts (tested) — only
-    the object-store traffic pattern differs (worker.py docstring).
+    ``routing`` selects the message-exchange layout ("auto" | "mailbox" |
+    "per_dest"); results and checkpoints are bit-identical across layouts
+    (tested), only the transport differs (worker.py docstring). "mailbox"
+    needs every partition actor on the driver's node; each attempt makes
+    its own mailbox files under /dev/shm and unlinks them when it ends,
+    on success or failure.
 
     Partition actors come from the warm pool (module docstring): spawned
     by the first run with a given P in a Ray session, then reused until P
@@ -226,7 +243,7 @@ def _run_bsp_attempt(
     max_supersteps: int,
     ckpt_every: int,
     resume: bool,
-    routing: str = "grouped",
+    routing: str,
 ) -> BSPResult:
     global _pool
     meta = load_graph_meta(graph_dir)
@@ -260,8 +277,11 @@ def _run_bsp_attempt(
             restore_from = m
 
     key = (ray.get_runtime_context().get_node_id(), P)
-    args = (graph_dir, program, meta["n_vertices"], routing)
+    prefix = mailbox_prefix() if routing == "mailbox" else None
+    args = (graph_dir, program, meta["n_vertices"], routing, prefix)
     try:
+        if prefix:
+            create_mailbox(prefix, P)
         if _pool is None or _pool[0] != key:
             # handles from an earlier Ray session are dropped uncalled
             _drop_pool(kill=_pool is not None and _pool[0][0] == key[0])
@@ -280,12 +300,15 @@ def _run_bsp_attempt(
         # whatever failed, the next attempt or run starts on fresh actors
         _drop_pool()
         raise
+    finally:
+        if prefix:
+            remove_mailbox(prefix)
 
 
 def _superstep_loop(
     program, workers, meta, specs, aggr_global, start_ss, use_restored,
     restore_from, max_supersteps, ckpt_every, ckpt_dir, graph_dir, result,
-    cfg_hash, routing="grouped",
+    cfg_hash, routing,
 ) -> BSPResult:
     P = len(workers)
     per_dest = routing == "per_dest"
@@ -298,31 +321,32 @@ def _superstep_loop(
         start_ss = restore_from["superstep"] + 1
         use_restored = True
 
-    # grouped:  msgs[i] = ref of producer i's grouped object (dict dest->block)
+    # mailbox:  msgs[i] = producer i's post {dest: (rows, column layout)}
     # per_dest: msgs[i][j] = ref of producer i's block FOR consumer j
     msgs: list = [[None] * P for _ in range(P)] if per_dest else [None] * P
-    n_ret = 1 + (P if per_dest else 1)
     halted = False
     ss = start_ss - 1
     for ss in range(start_ss, max_supersteps):
         t0 = time.perf_counter()
-        refs = []
-        for j, w in enumerate(workers):
-            if use_restored:
-                incoming = [None] * P
-            elif per_dest:
-                # each per-dest object ref goes to exactly ONE consumer
-                incoming = [msgs[i][j] for i in range(P)]
-            else:
-                incoming = msgs
-            refs.append(
-                w.step.options(num_returns=n_ret).remote(
-                    ss, aggr_global, *incoming, use_restored=use_restored
+        if per_dest:
+            # each per-dest object ref goes to exactly ONE consumer
+            refs = [
+                w.step.options(num_returns=1 + P).remote(
+                    ss, aggr_global,
+                    *([None] * P if use_restored else [msgs[i][j] for i in range(P)]),
+                    use_restored=use_restored,
                 )
-            )
+                for j, w in enumerate(workers)
+            ]
+            metas = ray.get([r[0] for r in refs])
+            msgs = [refs[i][1:] for i in range(P)]
+        else:
+            # the posts as ONE argument (None: use the restored inbox);
+            # P arguments and a keyword cost about 1 ms more per superstep
+            posts = None if use_restored else msgs
+            metas = ray.get([w.step.remote(ss, aggr_global, posts) for w in workers])
+            msgs = [m.pop("post") for m in metas]
         use_restored = False
-        metas = ray.get([r[0] for r in refs])
-        msgs = [refs[i][1:] for i in range(P)] if per_dest else [refs[i][1] for i in range(P)]
 
         totals = {
             k: int(sum(m[k] for m in metas))
@@ -331,6 +355,7 @@ def _superstep_loop(
         totals["superstep"] = ss
         totals["wall_s"] = time.perf_counter() - t0
         totals["max_part_wall_s"] = max(m["wall_s"] for m in metas)
+        totals["max_part_exchange_s"] = max(m["exchange_s"] for m in metas)
         aggr_next = {}
         for k, spec in specs.items():
             v = spec.init

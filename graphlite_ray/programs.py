@@ -93,7 +93,12 @@ class Ctx:
 
 @dataclass
 class Inbox:
-    """Post-delivery, partition-locally combined incoming messages."""
+    """Post-delivery, partition-locally combined incoming messages.
+
+    Ordering: keyed delivery ("sum_by_key", "max_by_key") hands over one
+    row per (idx, key), sorted by idx and then key (`combine_sum_by_key`);
+    `mode_by_row` relies on it. "sum"/"min"/"max" rows are sorted by idx;
+    "none" rows come in producer order."""
 
     idx: np.ndarray                      # local vertex rows that received >=1 msg (unique for sum/min; one row PER MESSAGE for "none")
     val: np.ndarray                      # combined payload (sum/min) — or counts for sum_by_key
@@ -106,6 +111,22 @@ class Inbox:
 
 
 EMPTY_INBOX = Inbox(idx=np.empty(0, np.int64), val=np.empty(0, np.float64))
+
+
+def mode_by_row(inbox: Inbox) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, winners) of a keyed inbox: per row, the key with the largest
+    count, ties to the smallest key. Needs the keyed delivery order (rows
+    sorted by idx, then key), so the first hit of a row's max count is its
+    smallest such key and no sort is needed."""
+    idx, key, cnt = inbox.idx, inbox.key, inbox.val
+    new_row = np.ones(len(idx), bool)
+    new_row[1:] = idx[1:] != idx[:-1]
+    starts = np.flatnonzero(new_row)
+    best = np.maximum.reduceat(cnt, starts)
+    hit = np.flatnonzero(cnt == best[np.cumsum(new_row) - 1])
+    first = np.ones(len(hit), bool)
+    first[1:] = idx[hit[1:]] != idx[hit[:-1]]
+    return idx[starts], key[hit[first]]
 
 
 @dataclass
@@ -1400,14 +1421,7 @@ class LabelPropagation(VertexProgram):
         out = ComputeOut(aggr={"changes": 0.0})
         mask = active
         if ctx.superstep > 0 and not inbox.empty:
-            # mode with min-label tie-break: sort by (idx asc, count desc,
-            # label asc) and take the first row per idx
-            order = np.lexsort((inbox.key, -inbox.val, inbox.idx))
-            idx_sorted = inbox.idx[order]
-            first = np.ones(len(idx_sorted), bool)
-            first[1:] = idx_sorted[1:] != idx_sorted[:-1]
-            rows = idx_sorted[first]
-            winners = inbox.key[order][first]
+            rows, winners = mode_by_row(inbox)
             changed = winners != values[rows]
             out.aggr["changes"] = float(changed.sum())
             values[rows] = winners
@@ -1464,12 +1478,8 @@ class SeededLabelPropagation(LabelPropagation):
     def compute(self, ctx, shard, values, active, inbox):
         out = ComputeOut(aggr={"changes": 0.0})
         if ctx.superstep > 0 and not inbox.empty:
-            order = np.lexsort((inbox.key, -inbox.val, inbox.idx))
-            idx_sorted = inbox.idx[order]
-            first = np.ones(len(idx_sorted), bool)
-            first[1:] = idx_sorted[1:] != idx_sorted[:-1]
-            rows = idx_sorted[first]
-            winners = inbox.key[order][first].astype(np.int64)
+            rows, winners = mode_by_row(inbox)
+            winners = winners.astype(np.int64)
             clamp = np.isin(shard.vids[rows], self._seed_ids)
             rows, winners = rows[~clamp], winners[~clamp]
             changed = winners != values[rows]

@@ -24,25 +24,44 @@ Message blocks between partitions are numpy-array tuples:
 Routing — two layouts, same block format and combine semantics (selected
 by the engine's ``routing`` option, default auto by cluster size):
 
-  "grouped" (single-node optimum): each producer returns ONE grouped
-  message object per superstep — a dict {dest_partition: block} — and the
-  driver hands every destination the refs of all P producer objects (never
-  fetching payloads itself, like the reference master, SURVEY.md §3.1
-  step 6). A destination reads its entry from each producer object; on a
-  single node these reads are ZERO-COPY plasma views, so the object store
-  does P creations per superstep instead of P^2 (P^2 small objects
-  measurably serialize on the store lock and destroy scaling here).
+  "mailbox" (single node): payloads go through shared-memory files and
+  control stays on plain actor calls. Producer i owns two files per run,
+  ``/dev/shm/graphlite-<driver pid>-<run token>-p{i}-b{parity}``, one per
+  superstep parity; the driver creates them empty for each attempt (a
+  fresh token per attempt) and unlinks them in a ``finally``. At
+  superstep ss the producer writes its per-destination blocks, column
+  after column at 64-byte aligned offsets, into its file for ``ss % 2``,
+  growing it with ``ftruncate`` only when this superstep needs more room,
+  so no combiner needs a region size up front. ``step`` returns only its
+  meta, which carries the post ``{dest: (rows, [(offset, dtype.str),
+  ...])}``. The driver pops the posts and hands the list of all P to
+  every consumer at ss+1 as one argument (P arguments cost about 1 ms
+  more per superstep); a consumer maps each producer's file for that
+  parity (read-only, remapping when a block ends past its current map)
+  and reads its blocks as views. The meta's ``exchange_s`` is the time
+  spent mapping and viewing the inbound blocks and writing the outbound
+  ones. Parity makes the reuse safe without a lock: superstep ss+2
+  overwrites parity ``ss % 2`` only after the driver has collected every
+  meta of ss+1, i.e. after every consumer is done reading ss's blocks.
+  Delivery concatenates into fresh arrays, so no view into a mailbox
+  lives past the ``step`` that read it. Each ``checkpoint`` closes the
+  worker's maps and file descriptors (the next ``step`` reopens them), and
+  the last superstep of every successful run checkpoints, so an idle warm
+  pool maps no mailbox; after a failure the pool is killed anyway.
 
-  "per_dest" (multi-node optimum): each producer returns P separate
+  "per_dest" (multi-node): each producer returns P separate
   per-destination objects (``num_returns=1+P``) and the driver routes each
   ref to exactly ONE consumer — the analog of the reference's
   one-peer-per-block sender (`engine/Sender.cc:44-235`,
   `engine/WW.nodemsg_list.proto:10-18`). Across nodes this ships each
-  byte to exactly its destination instead of pulling the whole producer
-  object P times (O(P) network amplification avoided).
+  byte to exactly its destination.
 
-Both layouts are bit-identical in results (tested) and checkpoint the same
-way (``last_out`` keeps the dict layout regardless).
+Driven in process (no ``routing``, as the benchmark's replay and the kernel
+tests do), ``step(ss, aggr, *blocks)`` takes each producer's
+``{dest: block}`` dict and returns ``(meta, {dest: block})``.
+
+All layouts are bit-identical in results and checkpoints (tested);
+``last_out`` keeps the dict layout regardless.
 
 Static routing plan. The graph does not change during a run, so when a
 program sends on EVERY out-edge in CSR order (PageRank, Katz, eigenvector,
@@ -62,19 +81,24 @@ than `combine_sum_by_key` plus the split. On the consumer side each worker cache
 producer and reuses it while ``np.array_equal`` shows the same ids, which
 skips the ``searchsorted`` for every combiner.
 
-The ``dst`` id column stays on the wire even though a consumer could map
-planned values to its rows by position. A prototype that dropped it made
-PageRank blocks on the 20k-page benchmark crawl (P=4) about 88 KiB, under
-Ray's 100 KiB inline-object limit, so payloads rode inside the replies
-through the driver instead of the object store: driver peak RSS rose from
-243 MB to 584-699 MB, breaking the engine's rule that payloads never reach
-the driver.
+The ``dst`` id column stays in every block even though a consumer could
+map planned values to its rows by position. Blocks keep one format for
+every layout, the checkpoint and the restore path, and the per-producer
+``local_index`` cache needs the ids to tell a planned send from a
+frontier one. (Under Ray's object store an ids-free prototype also made
+PageRank blocks on the 20k-page benchmark crawl, P=4, about 88 KiB,
+under Ray's 100 KiB inline-object limit, so payloads rode inside the
+replies through the driver: driver peak RSS rose from 243 MB to
+584-699 MB.)
 """
 
 from __future__ import annotations
 
 import fnmatch
+import glob
+import mmap
 import os
+import secrets
 import time
 
 import numpy as np
@@ -195,6 +219,97 @@ class RoutingPlan:
         return _slices(self.bounds, (self.ids, np.bincount(self.slot, weights=val, minlength=self.n_slots)))
 
 
+# ------------------------------------------------------------------ mailbox
+
+MAILBOX_DIR = "/dev/shm"
+_ALIGN = 64  # byte alignment of every column in a mailbox file
+
+
+def mailbox_path(prefix: str, producer: int, parity: int) -> str:
+    return f"{prefix}-p{producer}-b{parity}"
+
+
+def mailbox_prefix() -> str:
+    """A fresh file prefix for one run attempt, called in the driver."""
+    return f"{MAILBOX_DIR}/graphlite-{os.getpid()}-{secrets.token_hex(4)}"
+
+
+def create_mailbox(prefix: str, P: int) -> None:
+    """Make the attempt's 2P empty files. The driver makes them, and workers
+    open them without O_CREAT, so a worker still running when an attempt
+    fails cannot create a file after `remove_mailbox`."""
+    for p in range(P):
+        for parity in (0, 1):
+            open(mailbox_path(prefix, p, parity), "xb").close()
+
+
+def remove_mailbox(prefix: str) -> None:
+    for path in glob.glob(f"{prefix}-*"):
+        os.unlink(path)
+
+
+class Mailbox:
+    """One worker's side of a run's mailbox (module docstring): it writes
+    its own parity files and maps its producers' files to read them."""
+
+    def __init__(self, prefix: str, part_id: int):
+        self.prefix = prefix
+        self.part_id = part_id
+        self._fds: dict[int, int] = {}                      # parity -> own file
+        self._maps: dict[tuple[int, int], mmap.mmap] = {}   # (producer, parity)
+
+    def post(self, superstep: int, blocks: dict[int, tuple]) -> dict:
+        """Write ``blocks`` into this producer's file for the superstep's
+        parity; returns the post {dest: (rows, [(offset, dtype.str), ...])}."""
+        post, cols, end = {}, [], 0
+        for j, b in blocks.items():
+            layout = []
+            for a in b:
+                if a.ndim != 1:
+                    raise ValueError("mailbox block columns must be 1-D")
+                a = np.ascontiguousarray(a)
+                layout.append((end, a.dtype.str))
+                cols.append((end, a))
+                end = -(-(end + a.nbytes) // _ALIGN) * _ALIGN
+            post[j] = (len(b[0]), layout)
+        if not post:
+            return post
+        parity = superstep % 2
+        fd = self._fds.get(parity)
+        if fd is None:
+            fd = self._fds[parity] = os.open(mailbox_path(self.prefix, self.part_id, parity), os.O_RDWR)
+        if os.fstat(fd).st_size < end:
+            os.ftruncate(fd, end)
+        for off, a in cols:
+            buf = memoryview(a.view(np.uint8))
+            while buf:
+                n = os.pwrite(fd, buf, off)
+                buf, off = buf[n:], off + n
+        return post
+
+    def read(self, producer: int, superstep: int, entry: tuple) -> tuple:
+        """Views of the block ``producer`` posted at ``superstep`` for this
+        worker. They must not outlive the ``step`` that reads them."""
+        rows, layout = entry
+        key = (producer, superstep % 2)
+        off, dt = layout[-1]
+        end = off + rows * np.dtype(dt).itemsize
+        mm = self._maps.get(key)
+        if mm is None or len(mm) < end:
+            if mm is not None:
+                mm.close()
+            with open(mailbox_path(self.prefix, *key), "rb") as f:
+                mm = self._maps[key] = mmap.mmap(f.fileno(), 0, prot=mmap.PROT_READ)
+        return tuple(np.frombuffer(mm, dt, rows, off) for off, dt in layout)
+
+    def close(self) -> None:
+        for mm in self._maps.values():
+            mm.close()
+        for fd in self._fds.values():
+            os.close(fd)
+        self._maps, self._fds = {}, {}
+
+
 # ------------------------------------------------------------------- worker
 
 
@@ -209,17 +324,23 @@ class PartitionWorker:
         graph_dir: str,
         program: VertexProgram,
         n_vertices_global: int,
-        routing: str = "grouped",
+        routing: str | None = None,
+        mailbox: str | None = None,
     ):
         self.part_id = part_id
         self.P = P
-        self.begin(graph_dir, program, n_vertices_global, routing)
+        self.mailbox: Mailbox | None = None
+        self.begin(graph_dir, program, n_vertices_global, routing, mailbox)
 
     def begin(self, graph_dir: str, program: VertexProgram, n_vertices_global: int,
-              routing: str = "grouped") -> None:
+              routing: str | None = None, mailbox: str | None = None) -> None:
         """Start a run: load the shard and reset all per-run state. The shard
         is reloaded, not cached: `state/csr.py::add_edges` rewrites a graph
-        dir in place."""
+        dir in place. ``routing`` is "mailbox" (with the run's file prefix
+        as ``mailbox``), "per_dest", or None when driven in process."""
+        if self.mailbox is not None:
+            self.mailbox.close()
+        self.mailbox = Mailbox(mailbox, self.part_id) if routing == "mailbox" else None
         self.program = program
         self.n_vertices_global = n_vertices_global
         self.routing = routing
@@ -237,7 +358,13 @@ class PartitionWorker:
     # -- the superstep ------------------------------------------------------
 
     def step(self, superstep: int, aggr_global: dict, *incoming, use_restored: bool = False):
+        """One superstep. ``incoming`` holds one entry per producer, except
+        through the mailbox: there it is ONE list of the P producers' posts,
+        or None for the inbox restored from a checkpoint."""
         t0 = time.perf_counter()
+        if self.mailbox is not None:
+            (incoming,) = incoming
+            use_restored = incoming is None
         # (producer, block) pairs in producer order
         if use_restored:
             pairs = self._restored_incoming or []
@@ -247,14 +374,17 @@ class PartitionWorker:
             # object to consumer j)
             pairs = [(i, b) for i, b in enumerate(incoming) if b is not None and len(b[0])]
         else:
-            # incoming = P grouped producer objects (zero-copy plasma views);
-            # pick this partition's entry from each
+            # incoming = one dict per producer, {dest: post entry} through
+            # the mailbox or {dest: block} in process; take this partition's
             pairs = []
             for i, g in enumerate(incoming):
                 b = g.get(self.part_id) if g else None
+                if b is not None and self.mailbox is not None:
+                    b = self.mailbox.read(i, superstep - 1, b)
                 if b is not None and len(b[0]):
                     pairs.append((i, b))
         self._restored_incoming = None
+        exchange_s = time.perf_counter() - t0
         blocks = [b for _, b in pairs]
         combiner = self.program.combiner
 
@@ -327,6 +457,9 @@ class PartitionWorker:
                 payload = _combine_block(combiner, (out.out_dst, out.out_val))
             blocks_out = _split_by_partition(payload, self.P)
         self.last_out = blocks_out
+        t_post = time.perf_counter()
+        post = self.mailbox.post(superstep, blocks_out) if self.mailbox is not None else None
+        exchange_s += time.perf_counter() - t_post
 
         meta = {
             "part": self.part_id,
@@ -336,11 +469,15 @@ class PartitionWorker:
             "sent": int(out.sent),
             "active_end": int(self.active.sum()),
             "aggr": dict(out.aggr),
+            "exchange_s": exchange_s,
             "wall_s": time.perf_counter() - t0,
         }
         if self.routing == "per_dest":
             # P separate objects; the driver hands each to ONE consumer
             return tuple([meta] + [blocks_out.get(j) for j in range(self.P)])
+        if self.mailbox is not None:
+            meta["post"] = post
+            return meta
         return meta, (blocks_out or None)
 
     def _local_index(self, producer: int, dst: np.ndarray) -> np.ndarray:
@@ -350,13 +487,15 @@ class PartitionWorker:
         if hit is not None and np.array_equal(hit[0], dst):
             return hit[1]
         idx = self.shard.local_index(dst)
-        # copy: dst may be a plasma view that would pin the producer's object
+        # copy: dst may be a mailbox view or a plasma view
         self._idx_cache[producer] = (dst.copy(), idx)
         return idx
 
     # -- checkpoint / restore (north rule; reference has none — SURVEY.md §4)
 
     def checkpoint(self, superstep: int, ckpt_dir: str) -> dict:
+        if self.mailbox is not None:
+            self.mailbox.close()  # the next step reopens; an idle pool maps nothing
         d = storage.join(ckpt_dir, f"ss_{superstep}")
         storage.makedirs(d)
         if self.values.ndim == 2:

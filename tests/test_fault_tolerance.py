@@ -30,7 +30,7 @@ class CrashOncePageRank(PageRank):
         return super().compute(ctx, shard, values, active, inbox)
 
 
-@pytest.mark.parametrize("routing", ["grouped", "per_dest"])
+@pytest.mark.parametrize("routing", ["mailbox", "per_dest"])
 def test_actor_death_recovers_from_checkpoint(work_dir, routing):
     src, dst = random_digraph(150, 700, seed=55)
 

@@ -65,8 +65,9 @@ def test_minhash_dedup_survives_duplicate_doc_ids(ray_session):
 
 @pytest.mark.parametrize("algo", ["pagerank", "connected_components"])
 def test_routing_layouts_bit_identical(ray_session, tmp_path, algo):
-    """grouped (P objects/superstep) vs per_dest (P^2 objects, one consumer
-    each) message routing must produce BIT-identical values."""
+    """mailbox (blocks through shared-memory files) vs per_dest (P^2
+    objects, one consumer each) message routing must produce BIT-identical
+    values."""
     from graphlite_ray.pipelines.linkgraph import run_on_edges
 
     rng = np.random.RandomState(7)
@@ -74,7 +75,7 @@ def test_routing_layouts_bit_identical(ray_session, tmp_path, algo):
     dst = rng.randint(0, 60, 400).astype(np.int64)
 
     outs = {}
-    for routing in ("grouped", "per_dest"):
+    for routing in ("mailbox", "per_dest"):
         res = run_on_edges(
             algo, src, dst, str(tmp_path / routing), P=4, routing=routing
         )
@@ -85,22 +86,24 @@ def test_routing_layouts_bit_identical(ray_session, tmp_path, algo):
         )
         outs[routing] = df
     assert (
-        outs["grouped"]["vertex_id"].to_numpy()
+        outs["mailbox"]["vertex_id"].to_numpy()
         == outs["per_dest"]["vertex_id"].to_numpy()
     ).all()
     # bit-identical, not allclose: same blocks, same combine order per dest
     assert (
-        outs["grouped"]["value"].to_numpy() == outs["per_dest"]["value"].to_numpy()
+        outs["mailbox"]["value"].to_numpy() == outs["per_dest"]["value"].to_numpy()
     ).all()
 
 
 def test_resolve_routing_auto(ray_session):
     from graphlite_ray.engine import resolve_routing
 
-    assert resolve_routing("grouped") == "grouped"
+    assert resolve_routing("mailbox") == "mailbox"
     assert resolve_routing("per_dest") == "per_dest"
-    # this sandbox is single-node -> auto picks the grouped layout
-    assert resolve_routing("auto") == "grouped"
+    # a single-node session -> auto picks the mailbox layout
+    assert resolve_routing("auto") == "mailbox"
+    with pytest.raises(ValueError, match="routing"):
+        resolve_routing("grouped")
 
 
 def test_per_dest_resume_midrun(ray_session, tmp_path):

@@ -150,7 +150,7 @@ def test_idle_pool_does_not_block_other_ray_work(work_dir):
 
 
 CHILD = """
-import json, sys
+import glob, json, os, sys
 import ray
 from graphlite_ray import engine
 from graphlite_ray.pipelines.linkgraph import run_on_edges
@@ -165,7 +165,8 @@ for i in range(2):
     runs.append((vals, engine._pool[0]))
     ray.shutdown()  # the second iteration finds the first session's pool
 print(json.dumps({"same_values": runs[0][0] == runs[1][0],
-                  "new_pool": runs[0][1] != runs[1][1]}))
+                  "new_pool": runs[0][1] != runs[1][1],
+                  "mailbox_files": glob.glob(f"/dev/shm/graphlite-{os.getpid()}-*")}))
 """
 
 
@@ -186,7 +187,7 @@ def test_pool_survives_session_change_and_dies_with_its_session(work_dir):
     """In a child process: run, `ray.shutdown()`, `ray.init()`, run again.
     The old session's handles must be dropped uncalled (calling them raises
     or aborts the process) and the values must match; after the last
-    shutdown no partition actor may be left running."""
+    shutdown no partition actor and no mailbox file may be left."""
     existing = _partition_worker_pids()  # this session's own warm pool
     out = subprocess.run(
         [sys.executable, "-c", CHILD, work_dir],
@@ -195,7 +196,7 @@ def test_pool_survives_session_change_and_dies_with_its_session(work_dir):
     )
     assert out.returncode == 0, out.stderr[-3000:]
     got = json.loads(out.stdout.strip().splitlines()[-1])
-    assert got == {"same_values": True, "new_pool": True}
+    assert got == {"same_values": True, "new_pool": True, "mailbox_files": []}
 
     deadline = time.monotonic() + 10
     while (left := _partition_worker_pids() - existing) and time.monotonic() < deadline:
