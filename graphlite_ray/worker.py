@@ -25,7 +25,8 @@ Routing — two layouts, same block format and combine semantics (selected
 by the engine's ``routing`` option, default auto by cluster size):
 
   "mailbox" (single node): payloads go through shared-memory files and
-  control stays on plain actor calls. Producer i owns two files per run,
+  control goes over a unix-socket connection per actor. Producer i owns
+  two files per run,
   ``/dev/shm/graphlite-<driver pid>-<run token>-p{i}-b{parity}``, one per
   superstep parity; the driver creates them empty for each attempt (a
   fresh token per attempt) and unlinks them in a ``finally``. At
@@ -35,19 +36,31 @@ by the engine's ``routing`` option, default auto by cluster size):
   so no combiner needs a region size up front. ``step`` returns only its
   meta, which carries the post ``{dest: (rows, [(offset, dtype.str),
   ...])}``. The driver pops the posts and hands the list of all P to
-  every consumer at ss+1 as one argument (P arguments cost about 1 ms
-  more per superstep); a consumer maps each producer's file for that
-  parity (read-only, remapping when a block ends past its current map)
-  and reads its blocks as views. The meta's ``exchange_s`` is the time
-  spent mapping and viewing the inbound blocks and writing the outbound
-  ones. Parity makes the reuse safe without a lock: superstep ss+2
-  overwrites parity ``ss % 2`` only after the driver has collected every
-  meta of ss+1, i.e. after every consumer is done reading ss's blocks.
+  every consumer at ss+1 as one argument; a consumer maps each
+  producer's file for that parity (read-only, remapping when a block
+  ends past its current map) and reads its blocks as views. The meta's
+  ``exchange_s`` is the time spent mapping and viewing the inbound blocks
+  and writing the outbound ones. Parity makes the reuse safe without a
+  lock: superstep ss+2 overwrites parity ``ss % 2`` only after the driver
+  has collected every meta of ss+1, i.e. after every consumer is done
+  reading ss's blocks.
   Delivery concatenates into fresh arrays, so no view into a mailbox
   lives past the ``step`` that read it. Each ``checkpoint`` closes the
   worker's maps and file descriptors (the next ``step`` reopens them), and
   the last superstep of every successful run checkpoints, so an idle warm
   pool maps no mailbox; after a failure the pool is killed anyway.
+
+  Control: for each attempt the driver makes one Ray call per actor,
+  ``serve(address, authkey)``. It connects to the attempt's listener (a
+  Linux abstract-namespace unix socket, so nothing on disk), sends its
+  partition id, then runs each ``(method, args)`` it receives on itself
+  (``step``, ``checkpoint``, ``restore``) and sends back ``(True,
+  result)``, or ``(False, exception)`` with the actor's traceback as a
+  note. It returns when the driver closes the connection at the end of
+  the attempt, or on the actor's death, with the process. While ``serve``
+  runs, any other Ray call to the actor queues behind it, so a run that
+  ends waits for every ``serve`` to return: an idle pool holds no call,
+  and ``begin``, ``ready`` or ``__ray_call__`` run at once.
 
   "per_dest" (multi-node): each producer returns P separate
   per-destination objects (``num_returns=1+P``) and the driver routes each
@@ -94,12 +107,16 @@ replies through the driver: driver peak RSS rose from 243 MB to
 
 from __future__ import annotations
 
+import contextlib
 import fnmatch
 import glob
 import mmap
 import os
+import re
 import secrets
 import time
+import traceback
+from multiprocessing.connection import Client
 
 import numpy as np
 import pyarrow as pa
@@ -234,10 +251,28 @@ def mailbox_prefix() -> str:
     return f"{MAILBOX_DIR}/graphlite-{os.getpid()}-{secrets.token_hex(4)}"
 
 
+_MAILBOX_NAME = re.compile(r"graphlite-(\d+)-[0-9a-f]+-p\d+-b[01]")
+
+
 def create_mailbox(prefix: str, P: int) -> None:
     """Make the attempt's 2P empty files. The driver makes them, and workers
     open them without O_CREAT, so a worker still running when an attempt
-    fails cannot create a file after `remove_mailbox`."""
+    fails cannot create a file after `remove_mailbox`.
+
+    First it unlinks the files of drivers that are gone: a driver killed
+    outright (SIGKILL, the OOM killer) never runs the ``finally`` that
+    removes its own. A live pid's files are never touched."""
+    for name in os.listdir(MAILBOX_DIR):
+        m = _MAILBOX_NAME.fullmatch(name)
+        if m is None:
+            continue
+        try:
+            os.kill(int(m[1]), 0)
+        except ProcessLookupError:
+            with contextlib.suppress(FileNotFoundError):  # another driver's sweep
+                os.unlink(os.path.join(MAILBOX_DIR, name))
+        except PermissionError:
+            pass  # alive, another user's
     for p in range(P):
         for parity in (0, 1):
             open(mailbox_path(prefix, p, parity), "xb").close()
@@ -354,6 +389,26 @@ class PartitionWorker:
 
     def ready(self) -> int:
         return self.shard.n
+
+    def serve(self, address: str, authkey: bytes) -> None:
+        """One attempt's control loop (module docstring): connect to the
+        driver's listener, then run each ``(method, args)`` received and
+        send back ``(True, result)`` or ``(False, exception)``, until the
+        driver closes the connection."""
+        with Client(address, family="AF_UNIX", authkey=authkey) as conn:
+            conn.send(self.part_id)
+            while True:
+                try:
+                    method, args = conn.recv()
+                except EOFError:
+                    return
+                try:
+                    reply = (True, getattr(self, method)(*args))
+                except Exception as e:
+                    tb = "".join(traceback.format_tb(e.__traceback__))
+                    e.add_note(f"in partition {self.part_id}:\n{tb}")
+                    reply = (False, e)
+                conn.send(reply)
 
     # -- the superstep ------------------------------------------------------
 
