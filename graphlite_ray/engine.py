@@ -96,6 +96,7 @@ from graphlite_ray.programs import VertexProgram
 from graphlite_ray.state import storage
 from graphlite_ray.state.csr import load_graph_meta
 from graphlite_ray.worker import (
+    COMBINERS,
     MAILBOX_DIR,
     PartitionWorker,
     create_mailbox,
@@ -242,6 +243,8 @@ def run_bsp(
     ``ckpt_every`` to bound re-work), up to ``actor_restarts`` times. The
     reference hangs or dies in this case (SURVEY.md §4 retries row).
     """
+    if program.combiner not in COMBINERS:
+        raise ValueError(f"unknown combiner {program.combiner!r}; choose one of {', '.join(COMBINERS)}")
     program.master_init(load_graph_meta(graph_dir))  # Graph::init analog
     caps = [c for c in (max_supersteps, program.max_supersteps) if c is not None]
     max_supersteps = min(caps, default=200)

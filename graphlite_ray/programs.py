@@ -96,9 +96,9 @@ class Inbox:
     """Post-delivery, partition-locally combined incoming messages.
 
     Ordering: keyed delivery ("sum_by_key", "max_by_key") hands over one
-    row per (idx, key), sorted by idx and then key (`combine_sum_by_key`);
-    `mode_by_row` relies on it. "sum"/"min"/"max" rows are sorted by idx;
-    "none" rows come in producer order."""
+    row per (idx, key), sorted by idx and then key (the keyed
+    `worker.COMBINERS` rows); `mode_by_row` relies on it. "sum"/"min"/"max"
+    rows are sorted by idx; "none" rows come in producer order."""
 
     idx: np.ndarray                      # local vertex rows that received >=1 msg (unique for sum/min; one row PER MESSAGE for "none")
     val: np.ndarray                      # combined payload (sum/min) — or counts for sum_by_key

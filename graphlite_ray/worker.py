@@ -15,11 +15,12 @@ mutable index" case where the Dataset API cannot express the semantics.
 All one-pass, wide stages around the loop (extraction, id assignment, CSR
 build, output) remain Ray Data pipelines (SURVEY.md §7.4 point 1).
 
-Message blocks between partitions are numpy-array tuples:
-    combiner "sum"/"min":   (dst_global:int64, val)
-    combiner "sum_by_key":  (dst_global:int64, key:int64, cnt:int64)
-    combiner "none":        (dst_global:int64, src_global:int64, val) — RAW,
-                            one row per message, sender id preserved
+Message blocks between partitions are numpy-array tuples
+``(dst_global:int64, *cols)``, where ``cols`` comes from the program
+combiner's `COMBINERS` row: ``val`` for "sum", "min" and "max"; ``key,
+cnt`` for "sum_by_key" and "max_by_key"; ``src, val`` for "none" (RAW, one
+row per message, sender id kept). The row also gives the combine that
+delivery and the producer apply and the checkpoint's ``msgs_*`` columns.
 
 Routing — two layouts, same block format and combine semantics (selected
 by the engine's ``routing`` option, default auto by cluster size):
@@ -88,11 +89,17 @@ slots ordered by destination partition, and each partition's ids. The
 combine then is one ``np.bincount`` over the slots and the split is P
 precomputed slices. It adds in the same order as `combine_sum` followed by
 the stable partition split, so blocks are bit-identical to the sort path
-(tested). Other combiners keep the sort path: for LPA's "sum_by_key", one
-stable sort of an int64 (slot, label rank) composite measured no faster
-than `combine_sum_by_key` plus the split. On the consumer side each worker caches ``local_index(dst)`` per
-producer and reuses it while ``np.array_equal`` shows the same ids, which
-skips the ``searchsorted`` for every combiner.
+(tested). The other combiners share one sort path, `_reduce_segments`: a
+stable argsort by dst (a lexsort by (dst, key) when keyed), then one
+``ufunc.reduceat`` per segment, ``np.fmin``/``np.fmax`` for "min"/"max".
+Those skip NaN, so a segment's result is NaN only when all its values
+are (its first NaN, bit for bit); a segment holding both -0.0 and 0.0
+may return either zero, which compare equal.
+For LPA's "sum_by_key", one stable sort of an int64 (slot, label rank)
+composite measured no faster than that path plus the split. On the
+consumer side each worker caches ``local_index(dst)`` per producer and
+reuses it while ``np.array_equal`` shows the same ids, which skips the
+``searchsorted`` for every combiner.
 
 The ``dst`` id column stays in every block even though a consumer could
 map planned values to its rows by position. Blocks keep one format for
@@ -116,7 +123,9 @@ import re
 import secrets
 import time
 import traceback
+from functools import partial
 from multiprocessing.connection import Client
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -135,60 +144,69 @@ def combine_sum(dst: np.ndarray, val: np.ndarray):
     return u, np.bincount(inv, weights=val)
 
 
-def combine_min(dst: np.ndarray, val: np.ndarray):
-    order = np.lexsort((val, dst))
-    d, v = dst[order], val[order]
+def _dense_sum(n: int, idx: np.ndarray, val: np.ndarray):
+    """`combine_sum` over local ids in [0, n): O(rows) bincounts, no sort.
+    Bit-identical, as both add each id's values in row order."""
+    sums = np.bincount(idx, weights=val, minlength=n)
+    hit = np.flatnonzero(np.bincount(idx, minlength=n))
+    return hit, sums[hit]
+
+
+def _reduce_segments(ufunc: np.ufunc, dst: np.ndarray, *cols: np.ndarray):
+    """``ufunc.reduceat`` of the last column per dst, or per (dst, key) when
+    ``cols`` is (key, val); rows come out sorted by dst, then key.
+
+    With `np.fmin`/`np.fmax` this is bit-equal to the first row per dst of
+    a lexsort by (dst, val), resp. (dst, -val) (tested): NaN is skipped, and
+    an all-NaN segment keeps its first NaN. The one exception: a segment
+    holding both -0.0 and 0.0 may return the other zero, which compares
+    equal."""
+    *keys, val = cols
+    order = np.lexsort((*keys, dst)) if keys else np.argsort(dst, kind="stable")
+    d, keys, val = dst[order], [k[order] for k in keys], val[order]
     first = np.ones(len(d), bool)
     first[1:] = d[1:] != d[:-1]
-    return d[first], v[first]
-
-
-def combine_max(dst: np.ndarray, val: np.ndarray):
-    order = np.lexsort((-val, dst))
-    d, v = dst[order], val[order]
-    first = np.ones(len(d), bool)
-    first[1:] = d[1:] != d[:-1]
-    return d[first], v[first]
-
-
-def combine_sum_by_key(dst: np.ndarray, key: np.ndarray, cnt: np.ndarray):
-    order = np.lexsort((key, dst))
-    d, k, c = dst[order], key[order], cnt[order]
-    first = np.ones(len(d), bool)
-    first[1:] = (d[1:] != d[:-1]) | (k[1:] != k[:-1])
+    for k in keys:
+        first[1:] |= k[1:] != k[:-1]
     starts = np.flatnonzero(first)
-    return d[starts], k[starts], np.add.reduceat(c, starts)
+    return (d[starts], *(k[starts] for k in keys), ufunc.reduceat(val, starts))
 
 
-def combine_max_by_key(dst: np.ndarray, key: np.ndarray, val: np.ndarray):
-    """max per (dst, key) — the keyed-register combiner (HyperBall counter
-    union is an elementwise register max; max is commutative/associative,
-    so producer-side combining is exact, §2.12)."""
-    order = np.lexsort((key, dst))
-    d, k, v = dst[order], key[order], val[order]
-    first = np.ones(len(d), bool)
-    first[1:] = (d[1:] != d[:-1]) | (k[1:] != k[:-1])
-    starts = np.flatnonzero(first)
-    return d[starts], k[starts], np.maximum.reduceat(v, starts)
+# block column -> Inbox field; the ComputeOut field is "out_" + it
+_FIELD = {"val": "val", "cnt": "val", "key": "key", "src": "src"}
 
 
-_BY_KEY = ("sum_by_key", "max_by_key")
+class Combiner(NamedTuple):
+    """A `COMBINERS` row. ``cols`` names a block's columns after ``dst``,
+    which are also its checkpoint ``msgs_*`` columns. ``reduce(dst, *cols)``
+    combines rows per dst, per (dst, key) when keyed, or is None for raw
+    delivery; ``dense(n, idx, *cols)`` replaces it on delivery, where the
+    ids are local rows in [0, n)."""
+
+    cols: tuple[str, ...]
+    reduce: Callable | None = None
+    dense: Callable | None = None
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        return tuple(_FIELD[c] for c in self.cols)
+
+    def combine(self, dst: np.ndarray, *cols: np.ndarray) -> tuple:
+        return (dst, *cols) if self.reduce is None else self.reduce(dst, *cols)
+
+    def deliver(self, n: int, idx: np.ndarray, *cols: np.ndarray) -> tuple:
+        return self.combine(idx, *cols) if self.dense is None else self.dense(n, idx, *cols)
 
 
-def _combine_by_key(combiner: str, dst, key, val):
-    if combiner == "max_by_key":
-        return combine_max_by_key(dst, key, val)
-    return combine_sum_by_key(dst, key, val)
-
-
-def _combine_block(combiner: str, block: tuple) -> tuple:
-    if combiner == "sum":
-        return combine_sum(block[0], block[1])
-    if combiner == "min":
-        return combine_min(block[0], block[1])
-    if combiner == "max":
-        return combine_max(block[0], block[1])
-    return _combine_by_key(combiner, block[0], block[1], block[2])
+COMBINERS = {
+    "sum": Combiner(("val",), combine_sum, _dense_sum),
+    "min": Combiner(("val",), partial(_reduce_segments, np.fmin)),
+    "max": Combiner(("val",), partial(_reduce_segments, np.fmax)),
+    "sum_by_key": Combiner(("key", "cnt"), partial(_reduce_segments, np.add)),
+    # HyperBall's counter union is an elementwise register max
+    "max_by_key": Combiner(("key", "cnt"), partial(_reduce_segments, np.maximum)),
+    "none": Combiner(("src", "val")),  # RAW: one row per message, sender kept
+}
 
 
 def _slices(bounds: np.ndarray, cols) -> dict[int, tuple]:
@@ -377,6 +395,7 @@ class PartitionWorker:
             self.mailbox.close()
         self.mailbox = Mailbox(mailbox, self.part_id) if routing == "mailbox" else None
         self.program = program
+        self.combiner = COMBINERS[program.combiner]
         self.n_vertices_global = n_vertices_global
         self.routing = routing
         self.shard = CSRShard.load(graph_dir, self.part_id, self.P)
@@ -440,47 +459,19 @@ class PartitionWorker:
                     pairs.append((i, b))
         self._restored_incoming = None
         exchange_s = time.perf_counter() - t0
-        blocks = [b for _, b in pairs]
-        combiner = self.program.combiner
+        row = self.combiner
 
         # 1. delivery (reference `deliverAllNewNodeMsg`,
         #    `engine/Worker.cc:416-576`) + reactivation (C3, `engine/Node.cc:56-62`)
         recv = 0
         inbox = Inbox(idx=np.empty(0, np.int64), val=np.empty(0, np.float64))
-        if blocks:
+        if pairs:
             idx = np.concatenate([self._local_index(i, b[0]) for i, b in pairs])
             recv = int(len(idx))
-            if combiner == "none":
-                # raw delivery: one inbox row per message, sender preserved
-                src = np.concatenate([b[1] for b in blocks])
-                val = np.concatenate([b[2] for b in blocks])
-                inbox = Inbox(idx=idx, val=val, src=src)
-                self.active[idx] = True  # duplicate indices are fine for a bool set
-            elif combiner in _BY_KEY:
-                key = np.concatenate([b[1] for b in blocks])
-                cnt = np.concatenate([b[2] for b in blocks])
-                i2, k2, c2 = _combine_by_key(combiner, idx, key, cnt)
-                inbox = Inbox(idx=i2, val=c2, key=k2)
-                self.active[i2] = True  # duplicate indices are fine for a bool set
-            elif combiner == "sum":
-                # local indices are dense [0, n): O(rows) bincount beats the
-                # sort-based combine for the delivery-side reduction
-                val = np.concatenate([b[1] for b in blocks])
-                sums = np.bincount(idx, weights=val, minlength=self.shard.n)
-                hit = np.bincount(idx, minlength=self.shard.n) > 0
-                i2 = np.flatnonzero(hit)
-                inbox = Inbox(idx=i2, val=sums[i2])
-                self.active[i2] = True
-            elif combiner == "max":
-                val = np.concatenate([b[1] for b in blocks])
-                i2, v2 = combine_max(idx, val)
-                inbox = Inbox(idx=i2, val=v2)
-                self.active[i2] = True
-            else:
-                val = np.concatenate([b[1] for b in blocks])
-                i2, v2 = combine_min(idx, val)
-                inbox = Inbox(idx=i2, val=v2)
-                self.active[i2] = True
+            cols = [np.concatenate([b[c] for _, b in pairs]) for c in range(1, 1 + len(row.cols))]
+            idx, *cols = row.deliver(self.shard.n, idx, *cols)
+            inbox = Inbox(idx=idx, **dict(zip(row.fields, cols)))
+            self.active[idx] = True  # duplicate indices ("none") are fine for a bool set
 
         # 2. compute on active vertices (reference loop `engine/Worker.cc:839-859`)
         computed = int(self.active.sum())
@@ -499,17 +490,13 @@ class PartitionWorker:
         #    (reference routing `engine/Node.cc:103-137`; combining is our
         #    addition, legal per SURVEY.md §2.12, vital for hub skew §4)
         blocks_out: dict[int, tuple] = {}
-        if combiner == "sum" and out.out_dst is self.shard.indices and len(out.out_dst):
+        # the plan is a precomputed `combine_sum` + split
+        if row.reduce is combine_sum and out.out_dst is self.shard.indices and len(out.out_dst):
             if self._plan is None:
                 self._plan = RoutingPlan(self.shard.indices, self.P)
             blocks_out = self._plan.sum(out.out_val)
         elif out.out_dst is not None and len(out.out_dst):
-            if combiner == "none":
-                payload = (out.out_dst, out.out_src, out.out_val)  # uncombined
-            elif combiner in _BY_KEY:
-                payload = _combine_by_key(combiner, out.out_dst, out.out_key, out.out_val)
-            else:
-                payload = _combine_block(combiner, (out.out_dst, out.out_val))
+            payload = row.combine(out.out_dst, *(getattr(out, "out_" + f) for f in row.fields))
             blocks_out = _split_by_partition(payload, self.P)
         self.last_out = blocks_out
         t_post = time.perf_counter()
@@ -573,18 +560,9 @@ class PartitionWorker:
         if extra is not None:
             _atomic(pa.table(extra), storage.join(d, f"extra_p{self.part_id}.parquet"))
         n_msg_rows = 0
+        cols = ("dst", *self.combiner.cols)
         for j, b in self.last_out.items():
-            path = storage.join(d, f"msgs_s{self.part_id}_d{j}.parquet")
-            if b is None:
-                continue
-            cols = {"dst": b[0]}
-            if self.program.combiner in _BY_KEY:
-                cols["key"], cols["cnt"] = b[1], b[2]
-            elif self.program.combiner == "none":
-                cols["src"], cols["val"] = b[1], b[2]
-            else:
-                cols["val"] = b[1]
-            _atomic(pa.table(cols), path)
+            _atomic(pa.table(dict(zip(cols, b))), storage.join(d, f"msgs_s{self.part_id}_d{j}.parquet"))
             n_msg_rows += len(b[0])
         return {"part": self.part_id, "n_vertices": self.shard.n, "msg_rows": n_msg_rows}
 
@@ -609,12 +587,7 @@ class PartitionWorker:
             )
         pairs = []
         names = fnmatch.filter(storage.listdir(d), f"msgs_s*_d{self.part_id}.parquet")
-        if self.program.combiner in _BY_KEY:
-            cols = ("dst", "key", "cnt")
-        elif self.program.combiner == "none":
-            cols = ("dst", "src", "val")
-        else:
-            cols = ("dst", "val")
+        cols = ("dst", *self.combiner.cols)
         # producer order, as live delivery: name order would put s10 before s2
         for producer, name in sorted((int(n[len("msgs_s"):n.index("_d")]), n) for n in names):
             t = storage.read_table(storage.join(d, name))

@@ -5,8 +5,15 @@ import pytest
 import ray
 
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
 @pytest.fixture(scope="session", autouse=True)
 def ray_session():
+    # Ray workers import graphlite_ray (and tests.*) from this checkout,
+    # whatever directory pytest runs in
+    os.environ["PYTHONPATH"] = os.pathsep.join(
+        p for p in (ROOT, os.environ.get("PYTHONPATH")) if p)
     ray.init(
         address="local",
         num_cpus=4,

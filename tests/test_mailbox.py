@@ -27,11 +27,12 @@ from graphlite_ray.programs import (
     HyperBall,
     Inbox,
     LabelPropagation,
+    MaximalIndependentSet,
     PageRank,
     mode_by_row,
 )
 from graphlite_ray.state.csr import build_graph_shards
-from graphlite_ray.worker import MAILBOX_DIR, Mailbox, combine_sum_by_key, mailbox_path
+from graphlite_ray.worker import COMBINERS, MAILBOX_DIR, Mailbox, mailbox_path
 from tests.conftest import random_digraph
 from tests.test_warm_pool import FailingPageRank, _parquet_files
 
@@ -64,10 +65,13 @@ def _assert_layouts_byte_identical(make, gd, work_dir, **kw):
     return runs["mailbox"], files
 
 
+# one program per `COMBINERS` row, at least
 PROGRAMS = {
-    "pagerank": PageRank,
-    "cc": ConnectedComponents,
-    "lpa": LabelPropagation,
+    "pagerank": PageRank,  # sum
+    "cc": ConnectedComponents,  # integer min
+    "sssp": lambda: SSSP(source=0),  # float min
+    "mis": MaximalIndependentSet,  # max
+    "lpa": LabelPropagation,  # sum_by_key
     "hyperball": lambda: HyperBall(p=4, radius=5),  # 2-D values, max_by_key
     "coreness": Coreness,  # combiner "none"
 }
@@ -132,6 +136,21 @@ def test_no_mailbox_file_survives_a_run(work_dir):
     assert _mailbox_files() == []
 
 
+class TypoPageRank(PageRank):
+    name = "typo_pagerank"
+    combiner = "Min"
+
+
+def test_unknown_combiner_rejected_before_any_mailbox(work_dir):
+    src, dst = random_digraph(100, 400, seed=3)
+    gd = _graph(work_dir, src, dst, 4, symmetrize=False)
+    pool = engine._pool
+    with pytest.raises(ValueError, match="'Min'; choose one of sum, min, max, sum_by_key, max_by_key, none"):
+        run_bsp(TypoPageRank(), gd, os.path.join(work_dir, "ckpt"), routing="mailbox")
+    assert _mailbox_files() == []
+    assert engine._pool is pool
+
+
 class MapsProbePageRank(PageRank):
     """PageRank that reports, through a max aggregator, whether its actor
     maps a mailbox file while it runs."""
@@ -182,11 +201,12 @@ def _mode_by_lexsort(inbox: Inbox):
 
 @st.composite
 def keyed_inboxes(draw):
-    """A keyed inbox as delivery makes it: `combine_sum_by_key` over raw
-    (row, label, count) messages. Few labels and small counts make ties."""
+    """A keyed inbox as delivery makes it: the "sum_by_key" row's combine
+    over raw (row, label, count) messages. Few labels and small counts make
+    ties."""
     n = draw(st.integers(1, 200))
     ints = lambda lo, hi: np.array(draw(st.lists(st.integers(lo, hi), min_size=n, max_size=n)), np.int64)
-    idx, key, cnt = combine_sum_by_key(ints(0, 30), ints(0, draw(st.integers(0, 8))), ints(1, 3))
+    idx, key, cnt = COMBINERS["sum_by_key"].reduce(ints(0, 30), ints(0, draw(st.integers(0, 8))), ints(1, 3))
     return Inbox(idx=idx, val=cnt, key=key)
 
 

@@ -13,7 +13,7 @@ import pytest
 from graphlite_ray.pipelines.linkgraph import run_on_edges
 from graphlite_ray.pipelines.neighborhood import effective_diameter, neighborhood_table
 from graphlite_ray.programs import HyperBall, NeighborhoodExact
-from graphlite_ray.worker import combine_max_by_key
+from graphlite_ray.worker import COMBINERS
 from tests.conftest import random_digraph
 
 
@@ -82,6 +82,7 @@ def test_hyperball_tracks_exact_within_bound(ray_session, work_dir):
 
 
 def test_combine_max_by_key_matches_pandas():
+    combine_max_by_key = COMBINERS["max_by_key"].reduce
     rng = np.random.default_rng(0)
     dst = rng.integers(0, 20, 500)
     key = rng.integers(0, 8, 500)

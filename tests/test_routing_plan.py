@@ -23,12 +23,7 @@ from graphlite_ray.programs import (
     _scatter_to_neighbors,
 )
 from graphlite_ray.state.csr import CSRShard, build_graph_shards
-from graphlite_ray.worker import (
-    PartitionWorker,
-    RoutingPlan,
-    _split_by_partition,
-    combine_sum,
-)
+from graphlite_ray.worker import COMBINERS, PartitionWorker, RoutingPlan, _split_by_partition
 from tests.conftest import cc_oracle, random_digraph
 from tests.test_warm_pool import _parquet_files
 
@@ -72,7 +67,7 @@ def test_plan_sum_is_bitwise_combine_sum(shard, seed):
     rng = np.random.default_rng(seed)
     val = rng.standard_normal(len(indices)) * 10.0 ** rng.integers(-3, 6, len(indices))
     got = RoutingPlan(indices, P).sum(val)
-    _assert_blocks_bitwise_equal(got, _split_by_partition(combine_sum(indices, val), P))
+    _assert_blocks_bitwise_equal(got, _split_by_partition(COMBINERS["sum"].reduce(indices, val), P))
 
 
 # --------------------------------------------------------- in-process driving
