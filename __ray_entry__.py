@@ -134,7 +134,7 @@ def _q_incremental_pagerank(sf_dir: str):
     import ray.data
 
     from graphlite_ray.engine import run_bsp
-    from graphlite_ray.pipelines.linkgraph import _done, _mark_done, prepare_edges
+    from graphlite_ray.pipelines.linkgraph import prepare_edges
     from graphlite_ray.programs import BUILTIN_PROGRAMS
     from graphlite_ray.state import storage
     from graphlite_ray.state.csr import add_edges, build_graph_shards
@@ -152,7 +152,7 @@ def _q_incremental_pagerank(sf_dir: str):
 
         return _f
 
-    if not _done(graph_dir):
+    def _build():
         base = ray.data.read_parquet(
             edges_dir, columns=["src", "dst"]
         ).map_batches(_half(0), batch_format="pyarrow")
@@ -161,7 +161,8 @@ def _q_incremental_pagerank(sf_dir: str):
             edges_dir, columns=["src", "dst"]
         ).map_batches(_half(1), batch_format="pyarrow")
         add_edges(graph_dir, delta, delta_id="snap2")
-        _mark_done(graph_dir)
+
+    storage.staged(graph_dir, _build)
     res = run_bsp(
         BUILTIN_PROGRAMS["pagerank"](),
         graph_dir,

@@ -1,12 +1,16 @@
 """BSP superstep driver: the Ray-native analog of the reference master
 (`engine/Master.cc:390-455`), minus all hand-rolled transport.
 
-The driver loop IS the superstep barrier (C1): every iteration issues one
-`step` command per partition actor, and collecting the per-partition
-metadata (the metas only — message payloads never reach the driver) is the
-synchronization point. Only the transport of these control messages
-depends on the routing, like the reference's `MW_NEXTSSSTART` out and
-`WM_CURSSFINISH` back over its own sockets:
+The driver loop IS the superstep barrier (C1): every round sends one
+``step(ss, aggr, *posts, use_restored=...)`` to each partition actor and
+collects each one's ``(meta, post)`` (worker.py docstring); collecting them
+is the synchronization point. A post holds one handle per destination:
+shared-memory offsets through the mailbox, Ray object refs for
+``per_dest``; each consumer is sent only its own entry of every post. The
+loop has one round shape for both routings (``send_step`` then ``recv``);
+only the transport of these control messages differs, like the
+reference's `MW_NEXTSSSTART` out and `WM_CURSSFINISH` back over its own
+sockets:
 
   - on one node (``mailbox``) each attempt opens a unix-socket listener at
     a Linux abstract-namespace address named after its mailbox, with a
@@ -22,7 +26,9 @@ depends on the routing, like the reference's `MW_NEXTSSSTART` out and
     ``serve`` call raised (``RayActorError``), so retries work as on Ray
     calls;
   - across nodes (``per_dest``) every command is one Ray actor call per
-    partition, collected by ``ray.get``.
+    partition, collected by ``ray.get``; a step round calls
+    ``step_split`` with ``num_returns=1+P``, so each block is its own
+    object, passed to its one consumer as a top-level argument.
 
 Per-superstep it:
 
@@ -35,25 +41,25 @@ Per-superstep it:
     partition's step and exchange times (``max_part_wall_s``,
     ``max_part_exchange_s``) in every superstep's totals and manifest,
     next to the driver's own phases: ``dispatch_s`` (issuing the P step
-    commands), ``wait_s`` (collecting the P metas) and, on checkpoint
+    commands), ``wait_s`` (collecting the P replies) and, on checkpoint
     rounds, ``ckpt_s`` (the checkpoint round plus the manifest write; the
     manifest's own copy stops before its write). ``wall_s`` runs from the
-    dispatch to the last meta,
+    dispatch to the last reply,
   - evaluates termination rule C4: user master hook OR
     (active == 0 AND sent == 0) (`engine/Master.cc:429-431`),
   - optionally checkpoints every partition + writes an atomic JSON lineage
     manifest (superstep, per-partition metrics, aggregators, config hash) —
     the north rule's resumability, absent in the reference (SURVEY.md §4).
 
-Scale notes: the driver handles O(P) small metas per superstep and never
-touches message payloads. On one node the payloads move through per-run
-shared-memory mailbox files (`worker.py` docstring): each consumer gets
-the P producers' posts (O(P) small entries each) and reads its blocks from
-/dev/shm without a copy into or out of Ray's object store, and the
-commands and metas travel over the P control connections, so a superstep
+Scale notes: per superstep the driver handles O(P) small metas and
+O(P^2) post entries, and sends each consumer its O(P) own entries, so a
+round moves O(P^2) entries in all. On one node the payloads move through
+per-run shared-memory mailbox files and never reach the driver, and the
+commands and replies go over the P control connections, so a superstep
 costs no Ray scheduling at all. Across nodes the P^2 per-destination
-blocks are Ray objects, each routed to one consumer. P is chosen
-independently of node count.
+blocks are Ray objects, each routed to one consumer; Ray inlines a
+block under 100 KiB into its producer's reply, so small blocks pass
+through the driver. P is chosen independently of node count.
 
 Warm actors: the P partition actors live in one module-level pool keyed on
 (Ray node id, P), so a job that runs several programs over the same shards
@@ -225,9 +231,10 @@ def run_bsp(
     are reloaded per partition and the loop continues at the next superstep,
     bit-identical to an uninterrupted run (tested).
 
-    ``routing`` selects the message-exchange layout ("auto" | "mailbox" |
-    "per_dest"); results and checkpoints are bit-identical across layouts
-    (tested), only the transport differs (worker.py docstring). "mailbox"
+    ``routing`` ("auto" | "mailbox" | "per_dest") selects what a post's
+    handles are: offsets into shared-memory files or Ray task-return objects
+    (worker.py docstring). Every superstep is the same round either way,
+    and results and checkpoints are bit-identical (tested). "mailbox"
     needs every partition actor on the driver's node; each attempt makes
     its own mailbox files under /dev/shm and its own control listener
     (module docstring), and removes both when it ends, on success or
@@ -274,16 +281,28 @@ _pool: tuple[tuple[str, int], list] | None = None  # ((node id, P), workers)
 
 class _RayCalls:
     """Rounds of one Ray actor call per partition, collected by ``ray.get``:
-    the control transport of the ``per_dest`` routing."""
+    the control transport of the ``per_dest`` routing. A step round calls
+    ``PartitionWorker.step_split`` and hands consumer j the ref of every
+    producer's block j as a top-level argument (worker.py docstring)."""
 
     def __init__(self, workers: list):
         self.workers = workers
 
-    def send(self, method: str, *args) -> None:
-        self._refs = [getattr(w, method).remote(*args) for w in self.workers]
+    def send(self, method: str, *args, **kw) -> None:
+        self._refs = [getattr(w, method).remote(*args, **kw) for w in self.workers]
+        self._posts = None
+
+    def send_step(self, ss: int, aggr: dict, msgs: list, use_restored: bool) -> None:
+        P = len(self.workers)
+        refs = [w.step_split.options(num_returns=1 + P).remote(
+                    ss, aggr, *[g and g[j] for g in msgs], use_restored=use_restored)
+                for j, w in enumerate(self.workers)]
+        self._refs = [r[0] for r in refs]
+        self._posts = [dict(enumerate(r[1:])) for r in refs]
 
     def recv(self) -> list:
-        return ray.get(self._refs)
+        out = ray.get(self._refs)
+        return out if self._posts is None else list(zip(out, self._posts))
 
     def round(self, method: str, *args) -> list:
         self.send(method, *args)
@@ -297,7 +316,7 @@ class _ControlChannel(_RayCalls):
     attempt's mailbox, so it leaves nothing on disk, and takes only clients
     that hold the attempt's fresh authkey. ``connect`` starts one
     ``PartitionWorker.serve`` call per actor; a round then writes one pickled
-    ``(method, args)`` to every connection and reads the P replies in
+    ``(method, args, kw)`` to every connection and reads the P replies in
     partition order."""
 
     def __init__(self, prefix: str):
@@ -330,9 +349,19 @@ class _ControlChannel(_RayCalls):
         self.conns = conns
         return self
 
-    def send(self, method: str, *args) -> None:
-        buf = pickle.dumps((method, args), pickle.HIGHEST_PROTOCOL)
-        for j, c in enumerate(self.conns):
+    def send(self, method: str, *args, **kw) -> None:
+        self._write([pickle.dumps((method, args, kw), pickle.HIGHEST_PROTOCOL)] * len(self.conns))
+
+    def send_step(self, ss: int, aggr: dict, msgs: list, use_restored: bool) -> None:
+        """Partition j gets only its own entry of every post."""
+        self._write([
+            pickle.dumps(("step", (ss, aggr, *[{j: g[j]} if g and j in g else None for g in msgs]),
+                          {"use_restored": use_restored}), pickle.HIGHEST_PROTOCOL)
+            for j in range(len(self.conns))
+        ])
+
+    def _write(self, bufs: list) -> None:
+        for j, (c, buf) in enumerate(zip(self.conns, bufs)):
             try:
                 c.send_bytes(buf)
             except OSError:
@@ -387,29 +416,17 @@ def _run_bsp_attempt(
     storage.makedirs(ckpt_dir)
 
     specs = program.aggregators()
-    aggr_global = {k: s.init for k, s in specs.items()}
-    start_ss = 0
-    use_restored = False
-    result = BSPResult(final_superstep=-1, supersteps_run=0, halted=False, ckpt_dir=ckpt_dir)
-
     cfg_hash = config_hash(program, graph_dir, meta)
     restore_from = None
     if resume:
         m = latest_checkpoint(ckpt_dir, expect_hash=cfg_hash)
         if m is not None:
             if m.get("halted"):  # already complete: no actors needed
-                result.final_superstep = m["superstep"]
-                result.halted = True
                 # final aggregator state (decoded) so history-bearing
                 # aggregators (e.g. the neighborhood `hist`) survive the
                 # early return exactly like a fresh run's last superstep
-                result.aggr_history = [
-                    {
-                        k: (specs[k].from_json(v) if k in specs else v)
-                        for k, v in m.get("aggr_global", {}).items()
-                    }
-                ]
-                return result
+                return BSPResult(final_superstep=m["superstep"], supersteps_run=0, halted=True,
+                                 ckpt_dir=ckpt_dir, aggr_history=[_decode_aggr(specs, m)])
             restore_from = m
 
     key = (ray.get_runtime_context().get_node_id(), P)
@@ -431,9 +448,8 @@ def _run_bsp_attempt(
         ray.get(loaded)  # surface load errors early
         calls = ctl.connect(_pool[1]) if ctl else _RayCalls(_pool[1])
         result = _superstep_loop(
-            program, calls, meta, specs, aggr_global, start_ss, use_restored,
-            restore_from, max_supersteps, ckpt_every, ckpt_dir, graph_dir, result,
-            cfg_hash, routing,
+            program, calls, meta, specs, restore_from, max_supersteps,
+            ckpt_every, ckpt_dir, graph_dir, cfg_hash,
         )
         if ctl:
             # every serve returns on EOF, so the idle pool holds no call
@@ -451,50 +467,32 @@ def _run_bsp_attempt(
             remove_mailbox(prefix)
 
 
+def _decode_aggr(specs: dict, manifest: dict) -> dict:
+    return {k: (specs[k].from_json(v) if k in specs else v)
+            for k, v in manifest.get("aggr_global", {}).items()}
+
+
 def _superstep_loop(
-    program, calls, meta, specs, aggr_global, start_ss, use_restored,
-    restore_from, max_supersteps, ckpt_every, ckpt_dir, graph_dir, result,
-    cfg_hash, routing,
+    program, calls, meta, specs, restore_from, max_supersteps, ckpt_every,
+    ckpt_dir, graph_dir, cfg_hash,
 ) -> BSPResult:
-    P = len(calls.workers)
-    per_dest = routing == "per_dest"
+    result = BSPResult(final_superstep=-1, supersteps_run=0, halted=False, ckpt_dir=ckpt_dir)
+    aggr_global = {k: s.init for k, s in specs.items()}
+    start_ss, use_restored = 0, False
     if restore_from is not None:
         calls.round("restore", restore_from["superstep"], ckpt_dir)
-        aggr_global = {
-            k: (specs[k].from_json(v) if k in specs else v)
-            for k, v in restore_from["aggr_global"].items()
-        }
-        start_ss = restore_from["superstep"] + 1
-        use_restored = True
+        aggr_global = _decode_aggr(specs, restore_from)
+        start_ss, use_restored = restore_from["superstep"] + 1, True
 
-    # mailbox:  msgs[i] = producer i's post {dest: (rows, column layout)}
-    # per_dest: msgs[i][j] = ref of producer i's block FOR consumer j
-    msgs: list = [[None] * P for _ in range(P)] if per_dest else [None] * P
+    msgs = [None] * len(calls.workers)  # msgs[i] = producer i's post {dest: handle}
     halted = False
     ss = start_ss - 1
     for ss in range(start_ss, max_supersteps):
         t0 = time.perf_counter()
-        if per_dest:
-            # each per-dest object ref goes to exactly ONE consumer
-            refs = [
-                w.step.options(num_returns=1 + P).remote(
-                    ss, aggr_global,
-                    *([None] * P if use_restored else [msgs[i][j] for i in range(P)]),
-                    use_restored=use_restored,
-                )
-                for j, w in enumerate(calls.workers)
-            ]
-            t1 = time.perf_counter()
-            metas = ray.get([r[0] for r in refs])
-            t2 = time.perf_counter()
-            msgs = [refs[i][1:] for i in range(P)]
-        else:
-            # the posts as ONE argument (None: use the restored inbox)
-            calls.send("step", ss, aggr_global, None if use_restored else msgs)
-            t1 = time.perf_counter()
-            metas = calls.recv()
-            t2 = time.perf_counter()
-            msgs = [m.pop("post") for m in metas]
+        calls.send_step(ss, aggr_global, msgs, use_restored)
+        t1 = time.perf_counter()
+        metas, msgs = zip(*calls.recv())
+        t2 = time.perf_counter()
         use_restored = False
 
         totals = {

@@ -36,14 +36,6 @@ from graphlite_ray.state import storage
 from graphlite_ray.state.csr import build_graph_shards, load_graph_meta
 
 
-def _done(path: str) -> bool:
-    return storage.exists(storage.join(path, "_SUCCESS"))
-
-
-def _mark_done(path: str) -> None:
-    storage.write_text(storage.join(path, "_SUCCESS"), "ok")
-
-
 def prepare_edges(pages_dir: str, work_dir: str, P: int) -> str:
     """Stage 1: pages -> edge table parquet + per-partition url dictionary.
 
@@ -52,23 +44,19 @@ def prepare_edges(pages_dir: str, work_dir: str, P: int) -> str:
     the CSR build so downstream stages re-read Parquet instead of
     re-running extraction (lineage + resume)."""
     edges_dir = storage.join(work_dir, "edges")
-    if _done(edges_dir):
-        return edges_dir
-    if storage.isdir(edges_dir):
-        # a previous run crashed mid-write (no _SUCCESS): Ray's UUID-named
-        # output files would otherwise accumulate and a resumed build would
-        # read duplicated edge rows — clear the partial stage first
-        storage.rmtree(edges_dir)
-    storage.makedirs(edges_dir)
-    # ONE extraction pass writes the staging table (src, dst, src_url,
-    # dst_url); every consumer re-reads it with column pruning (edges need
-    # 2 of 4 columns), so extraction cost is paid exactly once.
-    pages = ray.data.read_parquet(pages_dir, columns=["url", "html"])
-    edge_urls = pages.map_batches(extract_links_batch, batch_format="pyarrow")
-    with_ids = edge_urls.map_batches(assign_ids_batch, batch_format="pyarrow")
-    with_ids.write_parquet(edges_dir)
-    _mark_done(edges_dir)
-    return edges_dir
+
+    def build():
+        # ONE extraction pass writes the staging table (src, dst, src_url,
+        # dst_url); every consumer re-reads it with column pruning (edges
+        # need 2 of 4 columns), so extraction cost is paid exactly once. A
+        # crashed pass is cleared first: Ray's UUID-named output files would
+        # otherwise accumulate into duplicated edge rows.
+        pages = ray.data.read_parquet(pages_dir, columns=["url", "html"])
+        edge_urls = pages.map_batches(extract_links_batch, batch_format="pyarrow")
+        with_ids = edge_urls.map_batches(assign_ids_batch, batch_format="pyarrow")
+        with_ids.write_parquet(edges_dir)
+
+    return storage.staged(edges_dir, build)
 
 
 def prepare_urlmap(work_dir: str, P: int) -> None:
@@ -135,12 +123,9 @@ def prepare_graph(pages_dir: str, work_dir: str, P: int, symmetrize: bool = Fals
     """Stage 2: edge table -> CSR shards (hash-partitioned by src % P)."""
     edges_dir = prepare_edges(pages_dir, work_dir, P)
     graph_dir = storage.join(work_dir, "graph_sym" if symmetrize else "graph")
-    if _done(graph_dir):
-        return graph_dir
-    edges = ray.data.read_parquet(edges_dir, columns=["src", "dst"])
-    build_graph_shards(edges, P, graph_dir, symmetrize=symmetrize)
-    _mark_done(graph_dir)
-    return graph_dir
+    return storage.staged(graph_dir, lambda: build_graph_shards(
+        ray.data.read_parquet(edges_dir, columns=["src", "dst"]), P, graph_dir,
+        symmetrize=symmetrize))
 
 
 # Outcome of the most recent BSP run per program name (halted flag +
@@ -224,7 +209,7 @@ def run_on_edges(
     )
     # weighted graphs get their own shard dir keyed by a weights fingerprint,
     # so a cached unweighted/differently-weighted build is never silently
-    # reused (the _done() marker would otherwise skip the rebuild)
+    # reused (its _SUCCESS marker would otherwise skip the rebuild)
     suffix = "graph_sym" if program.symmetrize else "graph"
     if weights is not None:
         import hashlib
@@ -232,13 +217,11 @@ def run_on_edges(
         w64 = np.asarray(weights, np.float64)
         suffix += "_w" + hashlib.blake2b(w64.tobytes(), digest_size=6).hexdigest()
     graph_dir = storage.join(work_dir, suffix)
-    if not _done(graph_dir):
-        cols = {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
-        if weights is not None:
-            cols["weight"] = pa.array(np.asarray(weights, np.float64))
-        edges = ray.data.from_arrow(pa.table(cols))
-        build_graph_shards(edges, P, graph_dir, symmetrize=program.symmetrize)
-        _mark_done(graph_dir)
+    cols = {"src": pa.array(src, pa.int64()), "dst": pa.array(dst, pa.int64())}
+    if weights is not None:
+        cols["weight"] = pa.array(np.asarray(weights, np.float64))
+    storage.staged(graph_dir, lambda: build_graph_shards(
+        ray.data.from_arrow(pa.table(cols)), P, graph_dir, symmetrize=program.symmetrize))
     ckpt_dir = storage.join(work_dir, f"ckpt_{program.name}")
     return _record_outcome(program, run_bsp(
         program,
@@ -272,9 +255,8 @@ def run_on_edge_dataset(
     )
     suffix = ("graph_sym" if program.symmetrize else "graph") + (f"_{tag}" if tag else "")
     graph_dir = storage.join(work_dir, suffix)
-    if not _done(graph_dir):
-        build_graph_shards(edges, P, graph_dir, symmetrize=program.symmetrize)
-        _mark_done(graph_dir)
+    storage.staged(graph_dir, lambda: build_graph_shards(
+        edges, P, graph_dir, symmetrize=program.symmetrize))
     ckpt_dir = storage.join(work_dir, f"ckpt_{program.name}")
     return _record_outcome(program, run_bsp(
         program,
@@ -703,7 +685,7 @@ def result_with_urls(result: BSPResult, work_dir: str) -> "ray.data.Dataset":
             meta = load_graph_meta(storage.join(work_dir, g))
             break
     P = meta["P"] if meta else 8
-    if storage.exists(storage.join(work_dir, "edges", "_SUCCESS")):
+    if storage.complete(storage.join(work_dir, "edges")):
         prepare_urlmap(work_dir, P)  # no-op when already built
     parts = ray.data.from_items([{"part": p} for p in range(P)])
     return parts.map_batches(

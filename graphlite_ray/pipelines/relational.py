@@ -1197,8 +1197,12 @@ def q_local_supplier_volume(
     reads: orders prunes to the date window before its shuffle, customer
     and supplier prune to region nations before anything moves. Revenue
     partials aggregate per batch; the final groupby sees <= 25 rows per
-    block.
+    block. Revenue is summed as int64 units of 1e-4 (cents times the
+    percent kept, ``100 - discount%``), so the result does not depend on
+    batch arrival order. The bucketed files live in a temp dir that is
+    removed on return.
     """
+    import shutil
     import tempfile
 
     from graphlite_ray.pipelines.joins import attach_from_bucketed, write_bucketed
@@ -1217,65 +1221,69 @@ def q_local_supplier_volume(
     supp_ref = ray.put(supp)
 
     work = tempfile.mkdtemp(prefix="glr_q5_")
-    keyset = set(int(k) for k in region_keys)
+    try:
+        keyset = set(int(k) for k in region_keys)
 
-    # customer pruned to region nations, bucketed by custkey
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
-        lambda t: t.filter(pc.is_in(t["c_nationkey"], value_set=pa.array(sorted(keyset)))),
-        batch_format="pyarrow",
-    )
-    cust_dir = write_bucketed(cust, "c_custkey", B, f"{work}/cust")
+        # customer pruned to region nations, bucketed by custkey
+        cust = _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]).map_batches(
+            lambda t: t.filter(pc.is_in(t["c_nationkey"], value_set=pa.array(sorted(keyset)))),
+            batch_format="pyarrow",
+        )
+        cust_dir = write_bucketed(cust, "c_custkey", B, f"{work}/cust")
 
-    # orders pruned to the date window, joined to customer, re-bucketed
-    lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
-        lambda t: t.filter(
-            pc.and_(
-                pc.greater_equal(t["o_orderdate"], pa.scalar(lo)),
-                pc.less(t["o_orderdate"], pa.scalar(hi)),
-            )
-        ).select(["o_orderkey", "o_custkey"]),
-        batch_format="pyarrow",
-    )
-    ord_nat = attach_from_bucketed(orders, "o_custkey", cust_dir, B, "c_custkey")
-    ord_dir = write_bucketed(
-        ord_nat, "o_orderkey", B, f"{work}/orders", columns=["o_orderkey", "c_nationkey"]
-    )
-
-    # lineitem joined to (order -> customer nation), scored vs supplier nation
-    li = _read(
-        sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
-    )
-    attached = attach_from_bucketed(li, "l_orderkey", ord_dir, B, "o_orderkey")
-
-    class _Score:
-        def __init__(self):
-            self.supp = ray.get(supp_ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            # an empty inner-join group carries left-only columns
-            if batch.empty or "c_nationkey" not in batch.columns:
-                return pd.DataFrame({"n_name": pd.Series([], dtype="string"),
-                                     "revenue": pd.Series([], dtype="float64")})
-            m = batch.merge(self.supp, left_on="l_suppkey", right_on="s_suppkey")
-            m = m[m["c_nationkey"] == m["s_nationkey"]]
-            if m.empty:
-                return pd.DataFrame({"n_name": pd.Series([], dtype="string"),
-                                     "revenue": pd.Series([], dtype="float64")})
-            m["revenue"] = m["l_extendedprice"] * (1.0 - m["l_discount"])
-            return m.groupby("n_name", as_index=False).agg(revenue=("revenue", "sum"))
-
-    partials = attached.map_batches(_Score, batch_format="pandas", concurrency=(1, 8))
-
-    def _final(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {"n_name": [g["n_name"].iloc[0]], "revenue": [g["revenue"].sum()]}
+        # orders pruned to the date window, joined to customer, re-bucketed
+        lo, hi = pd.Timestamp(date_lo), pd.Timestamp(date_hi)
+        orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
+            lambda t: t.filter(
+                pc.and_(
+                    pc.greater_equal(t["o_orderdate"], pa.scalar(lo)),
+                    pc.less(t["o_orderdate"], pa.scalar(hi)),
+                )
+            ).select(["o_orderkey", "o_custkey"]),
+            batch_format="pyarrow",
+        )
+        ord_nat = attach_from_bucketed(orders, "o_custkey", cust_dir, B, "c_custkey")
+        ord_dir = write_bucketed(
+            ord_nat, "o_orderkey", B, f"{work}/orders", columns=["o_orderkey", "c_nationkey"]
         )
 
-    out = partials.groupby("n_name").map_groups(_final, batch_format="pandas").to_pandas()
+        # lineitem joined to (order -> customer nation), scored vs supplier nation
+        li = _read(
+            sf_dir, "lineitem", ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"]
+        )
+        attached = attach_from_bucketed(li, "l_orderkey", ord_dir, B, "o_orderkey")
+
+        class _Score:
+            def __init__(self):
+                self.supp = ray.get(supp_ref)
+
+            def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+                # an empty inner-join group carries left-only columns
+                empty = pd.DataFrame({"n_name": pd.Series([], dtype="string"),
+                                      "units": pd.Series([], dtype="int64")})
+                if batch.empty or "c_nationkey" not in batch.columns:
+                    return empty
+                m = batch.merge(self.supp, left_on="l_suppkey", right_on="s_suppkey")
+                m = m[m["c_nationkey"] == m["s_nationkey"]]
+                if m.empty:
+                    return empty
+                cents = np.rint(m["l_extendedprice"].to_numpy() * 100).astype(np.int64)
+                pct = 100 - np.rint(m["l_discount"].to_numpy() * 100).astype(np.int64)
+                m["units"] = cents * pct
+                return m.groupby("n_name", as_index=False).agg(units=("units", "sum"))
+
+        partials = attached.map_batches(_Score, batch_format="pandas", concurrency=(1, 8))
+
+        def _final(g: pd.DataFrame) -> pd.DataFrame:
+            return pd.DataFrame({"n_name": [g["n_name"].iloc[0]], "units": [g["units"].sum()]})
+
+        out = partials.groupby("n_name").map_groups(_final, batch_format="pandas").to_pandas()
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
     if "n_name" not in out.columns:
         out = pd.DataFrame({"n_name": pd.Series([], dtype="str"),
-                            "revenue": pd.Series([], dtype="float64")})
+                            "units": pd.Series([], dtype="int64")})
+    out["revenue"] = out.pop("units") / 10_000
     return out.sort_values(
         ["revenue", "n_name"], ascending=[False, True], ignore_index=True
     )

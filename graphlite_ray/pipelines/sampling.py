@@ -84,8 +84,7 @@ def khop_sample(
     edge: (seed, hop, parent, vertex_id) — duplicates across parents are
     kept, as a GraphSAGE tree requires."""
     adj_dir = storage.join(work_dir, f"khop_adj_f{fanout}_b{B}")
-    if not storage.exists(storage.join(adj_dir, "bucket_0.parquet")):
-        sampled_adjacency(edges, fanout, adj_dir, B=B)
+    storage.staged(adj_dir, lambda: sampled_adjacency(edges, fanout, adj_dir, B=B))
 
     def _seed_part(t: pa.Table) -> pa.Table:
         s = np.unique(t["src"].to_numpy(zero_copy_only=False))
@@ -221,9 +220,9 @@ def sage_features(
     seeds x dim bounded final sum. Nothing graph-sized reaches the
     driver."""
     feats_dir = storage.join(work_dir, f"sage_feats_d{dim}_b{B}")
-    if not storage.exists(storage.join(feats_dir, "bucket_0.parquet")):
-        rows = urlmap.map_batches(url_feature_rows(dim), batch_format="pyarrow")
-        write_bucketed(rows, "vertex_id", B, feats_dir)
+    storage.staged(feats_dir, lambda: write_bucketed(
+        urlmap.map_batches(url_feature_rows(dim), batch_format="pyarrow"),
+        "vertex_id", B, feats_dir))
 
     tree = khop_sample(edges, work_dir, hops=hops, fanout=fanout,
                        seed_mod=seed_mod, B=B)

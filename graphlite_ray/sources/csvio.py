@@ -2,8 +2,8 @@
 in (exports from warehouses, spreadsheets, log dumps). Mirrors the JSONL
 seam (`sources/jsonl.py`): Ray Data already streams `read_csv` (pyarrow
 CSV reader, RFC-4180 quoting) and `write_csv` (one shard per block);
-this module adds the repo's staged-layout conventions — idempotent
-`_SUCCESS`-marked directories and column pruning at the read.
+this module adds the repo's staged-layout conventions — complete-or-absent
+directories (`state/storage.py::staged`) and column pruning at the read.
 
 No reference analog (GraphLite reads whitespace text edge lists only —
 `engine/InputFormatter.cc`); this is a north-rule training-data source.
@@ -11,24 +11,18 @@ No reference analog (GraphLite reads whitespace text edge lists only —
 
 from __future__ import annotations
 
-import os
-
 import ray.data
+
+from graphlite_ray.state import storage
 
 
 def stage_csv(ds: "ray.data.Dataset", out_dir: str) -> str:
     """Write `ds` as a CSV shard directory (one file per block, header
-    row per shard, RFC-4180 quoting), idempotent: a `_SUCCESS`-marked
-    directory is never rewritten, so the staging composes with resumable
+    row per shard, RFC-4180 quoting), idempotent: a complete directory
+    is never rewritten and an interrupted one is cleared first
+    (`storage.staged`), so the staging composes with resumable
     pipelines."""
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
-        return out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    ds.write_csv(out_dir)
-    with open(marker, "w"):
-        pass
-    return out_dir
+    return storage.staged(out_dir, lambda: ds.write_csv(out_dir))
 
 
 def read_csv(path: str, columns: list[str] | None = None) -> "ray.data.Dataset":

@@ -4,10 +4,10 @@ internal dumps all speak it).
 
 Thin, deliberately: Ray Data already has streaming `read_json` (pyarrow
 NDJSON reader, block-per-file) and `write_json` (one shard per block) —
-this module adds the repo conventions on top: idempotent staged layouts
-(`_SUCCESS` marker, resumable like every other staged dir), column
-pruning at the read, and a deterministic shard naming contract so a
-re-run never duplicates data.
+this module adds the repo conventions on top: complete-or-absent staged
+layouts (`state/storage.py::staged`, resumable like every other staged
+dir, and cleared before a rewrite so a re-run never duplicates data)
+and column pruning at the read.
 
 No reference analog (GraphLite reads whitespace text edge lists only —
 `engine/InputFormatter.cc`); this is a north-rule training-data source.
@@ -15,23 +15,17 @@ No reference analog (GraphLite reads whitespace text edge lists only —
 
 from __future__ import annotations
 
-import os
-
 import ray.data
+
+from graphlite_ray.state import storage
 
 
 def stage_jsonl(ds: "ray.data.Dataset", out_dir: str) -> str:
     """Write `ds` as a JSONL shard directory (one file per block),
-    idempotent: a `_SUCCESS`-marked directory is never rewritten, so the
-    staging composes with resumable pipelines."""
-    marker = os.path.join(out_dir, "_SUCCESS")
-    if os.path.exists(marker):
-        return out_dir
-    os.makedirs(out_dir, exist_ok=True)
-    ds.write_json(out_dir)
-    with open(marker, "w"):
-        pass
-    return out_dir
+    idempotent: a complete directory is never rewritten and an
+    interrupted one is cleared first (`storage.staged`), so the staging
+    composes with resumable pipelines."""
+    return storage.staged(out_dir, lambda: ds.write_json(out_dir))
 
 
 def read_jsonl(path: str, columns: list[str] | None = None) -> "ray.data.Dataset":

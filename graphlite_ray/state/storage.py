@@ -11,6 +11,8 @@ shard/checkpoint) stops being an implicit shared-/tmp assumption.
 
 Atomicity: local filesystems get write-temp-then-rename; object stores get
 a direct single PUT (atomic by the store's semantics — no rename exists).
+A staged directory is complete or absent (`staged`): its ``_SUCCESS``
+marker is written last and is the only sign that it may be reused.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 import os
 import posixpath
+from typing import Callable
 
 import pyarrow as pa
 import pyarrow.parquet as pq
@@ -78,6 +81,22 @@ def listdir(path: str) -> list[str]:
         return []
     sel = pafs.FileSelector(p, recursive=False)
     return sorted(os.path.basename(fi.path.rstrip("/")) for fi in fs.get_file_info(sel))
+
+
+def complete(path: str) -> bool:
+    return exists(join(path, "_SUCCESS"))
+
+
+def staged(path: str, build: Callable[[], object]) -> str:
+    """Reuse the directory ``path`` when it is complete; otherwise clear
+    what an interrupted build left there, run ``build()`` to fill it, and
+    write the ``_SUCCESS`` marker last. Returns ``path``."""
+    if not complete(path):
+        rmtree(path)
+        makedirs(path)
+        build()
+        write_text(join(path, "_SUCCESS"), "ok")
+    return path
 
 
 def write_table_atomic(table: pa.Table, path: str) -> None:

@@ -6,7 +6,7 @@ value array and active mask across supersteps (reference T1-T3 state,
 SURVEY.md §2.3), performs message delivery as a vectorized segmented
 reduction (replacing the per-message hash-lookup loop + prefetch variants,
 `engine/Worker.cc:416-576`), runs the vertex program's vectorized
-`compute`, and returns producer-side-combined, destination-partitioned
+`compute`, and posts producer-side-combined, destination-partitioned
 message blocks.
 
 Why a raw actor rather than `map_batches`: the BSP loop mutates
@@ -22,60 +22,59 @@ cnt`` for "sum_by_key" and "max_by_key"; ``src, val`` for "none" (RAW, one
 row per message, sender id kept). The row also gives the combine that
 delivery and the producer apply and the checkpoint's ``msgs_*`` columns.
 
-Routing — two layouts, same block format and combine semantics (selected
-by the engine's ``routing`` option, default auto by cluster size):
+One step contract for every routing. ``step(ss, aggr, *posts,
+use_restored=False)`` returns ``(meta, post)``: ``posts`` holds each
+producer's post of superstep ss-1 (None when it sent nothing), and a post
+is always ``{dest: handle}``. The routing (the engine's ``routing``
+option, default auto by cluster size) decides only what a handle is and
+how its one consumer opens it; the engine sends each consumer only its
+own entry of every post. Blocks, combine and checkpoints are the same
+everywhere, and so are the results (tested):
 
-  "mailbox" (single node): payloads go through shared-memory files and
-  control goes over a unix-socket connection per actor. Producer i owns
-  two files per run,
+  in process (no ``routing``; the benchmark's replay and the kernel tests)
+  the handle is the block itself.
+
+  "mailbox" (single node) the handle is ``(rows, [(offset, dtype.str),
+  ...])`` in a shared-memory file. Producer i owns two files per run,
   ``/dev/shm/graphlite-<driver pid>-<run token>-p{i}-b{parity}``, one per
   superstep parity; the driver creates them empty for each attempt (a
   fresh token per attempt) and unlinks them in a ``finally``. At
-  superstep ss the producer writes its per-destination blocks, column
-  after column at 64-byte aligned offsets, into its file for ``ss % 2``,
-  growing it with ``ftruncate`` only when this superstep needs more room,
-  so no combiner needs a region size up front. ``step`` returns only its
-  meta, which carries the post ``{dest: (rows, [(offset, dtype.str),
-  ...])}``. The driver pops the posts and hands the list of all P to
-  every consumer at ss+1 as one argument; a consumer maps each
-  producer's file for that parity (read-only, remapping when a block
-  ends past its current map) and reads its blocks as views. The meta's
-  ``exchange_s`` is the time spent mapping and viewing the inbound blocks
-  and writing the outbound ones. Parity makes the reuse safe without a
-  lock: superstep ss+2 overwrites parity ``ss % 2`` only after the driver
-  has collected every meta of ss+1, i.e. after every consumer is done
-  reading ss's blocks.
-  Delivery concatenates into fresh arrays, so no view into a mailbox
-  lives past the ``step`` that read it. Each ``checkpoint`` closes the
-  worker's maps and file descriptors (the next ``step`` reopens them), and
-  the last superstep of every successful run checkpoints, so an idle warm
-  pool maps no mailbox; after a failure the pool is killed anyway.
+  superstep ss the producer writes its blocks, column after column at
+  64-byte aligned offsets, into its file for ``ss % 2``, growing it with
+  ``ftruncate`` only when this superstep needs more room. A consumer maps
+  each producer's file for that parity read-only (remapping when a block
+  ends past its map) and reads its blocks as views. Parity makes the
+  reuse safe without a lock: superstep ss+2 overwrites parity ``ss % 2``
+  only after the driver has collected every reply of ss+1, i.e. after
+  every consumer is done reading ss's blocks. Delivery concatenates into
+  fresh arrays, so no view lives past the ``step`` that read it. Each
+  ``checkpoint`` closes the worker's maps and file descriptors (the next
+  ``step`` reopens them), and the last superstep of every successful run
+  checkpoints, so an idle warm pool maps no mailbox.
 
-  Control: for each attempt the driver makes one Ray call per actor,
-  ``serve(address, authkey)``. It connects to the attempt's listener (a
-  Linux abstract-namespace unix socket, so nothing on disk), sends its
-  partition id, then runs each ``(method, args)`` it receives on itself
-  (``step``, ``checkpoint``, ``restore``) and sends back ``(True,
-  result)``, or ``(False, exception)`` with the actor's traceback as a
-  note. It returns when the driver closes the connection at the end of
-  the attempt, or on the actor's death, with the process. While ``serve``
-  runs, any other Ray call to the actor queues behind it, so a run that
-  ends waits for every ``serve`` to return: an idle pool holds no call,
-  and ``begin``, ``ready`` or ``__ray_call__`` run at once.
+  "per_dest" (multi-node) the handle is a Ray object ref. The engine calls
+  ``step_split``, which runs ``step`` and returns the meta and the P
+  blocks as ``num_returns=1+P`` separate objects; the driver passes ref j
+  of every producer to consumer j only, as top-level arguments that Ray
+  resolves to blocks before the call, the analog of the reference's
+  one-peer-per-block sender (`engine/Sender.cc:44-235`). Ray inlines a
+  return under 100 KiB into the reply, so small blocks do pass through
+  the driver this way.
 
-  "per_dest" (multi-node): each producer returns P separate
-  per-destination objects (``num_returns=1+P``) and the driver routes each
-  ref to exactly ONE consumer — the analog of the reference's
-  one-peer-per-block sender (`engine/Sender.cc:44-235`,
-  `engine/WW.nodemsg_list.proto:10-18`). Across nodes this ships each
-  byte to exactly its destination.
+The meta's ``exchange_s`` is the time spent opening the inbound blocks and
+posting the outbound ones; ``last_out`` keeps the blocks themselves.
 
-Driven in process (no ``routing``, as the benchmark's replay and the kernel
-tests do), ``step(ss, aggr, *blocks)`` takes each producer's
-``{dest: block}`` dict and returns ``(meta, {dest: block})``.
-
-All layouts are bit-identical in results and checkpoints (tested);
-``last_out`` keeps the dict layout regardless.
+Control on one node: for each attempt the driver makes one Ray call per
+actor, ``serve(address, authkey)``. It connects to the attempt's listener
+(a Linux abstract-namespace unix socket, so nothing on disk), sends its
+partition id, then runs each ``(method, args, kw)`` it receives on itself
+(``step``, ``checkpoint``, ``restore``) and sends back ``(True, result)``,
+or ``(False, exception)`` with the actor's traceback as a note. It returns
+when the driver closes the connection at the end of the attempt, or on
+the actor's death, with the process. While ``serve`` runs, any other Ray
+call to the actor queues behind it, so a run that ends waits for every
+``serve`` to return: an idle pool holds no call, and ``begin``, ``ready``
+or ``__ray_call__`` run at once.
 
 Static routing plan. The graph does not change during a run, so when a
 program sends on EVERY out-edge in CSR order (PageRank, Katz, eigenvector,
@@ -130,7 +129,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-
 from graphlite_ray.programs import Ctx, Inbox, VertexProgram
 from graphlite_ray.state import storage
 from graphlite_ray.state.csr import CSRShard
@@ -397,7 +395,6 @@ class PartitionWorker:
         self.program = program
         self.combiner = COMBINERS[program.combiner]
         self.n_vertices_global = n_vertices_global
-        self.routing = routing
         self.shard = CSRShard.load(graph_dir, self.part_id, self.P)
         self.values = program.init_values(self.shard)
         self.active = np.ones(self.shard.n, bool)
@@ -411,18 +408,18 @@ class PartitionWorker:
 
     def serve(self, address: str, authkey: bytes) -> None:
         """One attempt's control loop (module docstring): connect to the
-        driver's listener, then run each ``(method, args)`` received and
+        driver's listener, then run each ``(method, args, kw)`` received and
         send back ``(True, result)`` or ``(False, exception)``, until the
         driver closes the connection."""
         with Client(address, family="AF_UNIX", authkey=authkey) as conn:
             conn.send(self.part_id)
             while True:
                 try:
-                    method, args = conn.recv()
+                    method, args, kw = conn.recv()
                 except EOFError:
                     return
                 try:
-                    reply = (True, getattr(self, method)(*args))
+                    reply = (True, getattr(self, method)(*args, **kw))
                 except Exception as e:
                     tb = "".join(traceback.format_tb(e.__traceback__))
                     e.add_note(f"in partition {self.part_id}:\n{tb}")
@@ -431,27 +428,17 @@ class PartitionWorker:
 
     # -- the superstep ------------------------------------------------------
 
-    def step(self, superstep: int, aggr_global: dict, *incoming, use_restored: bool = False):
-        """One superstep. ``incoming`` holds one entry per producer, except
-        through the mailbox: there it is ONE list of the P producers' posts,
-        or None for the inbox restored from a checkpoint."""
+    def step(self, superstep: int, aggr_global: dict, *posts, use_restored: bool = False):
+        """One superstep (module docstring): ``posts`` holds each producer's
+        post of superstep-1, or is ignored for the inbox restored from a
+        checkpoint; returns ``(meta, post)``."""
         t0 = time.perf_counter()
-        if self.mailbox is not None:
-            (incoming,) = incoming
-            use_restored = incoming is None
         # (producer, block) pairs in producer order
         if use_restored:
             pairs = self._restored_incoming or []
-        elif self.routing == "per_dest":
-            # incoming = P per-destination blocks, each addressed to THIS
-            # partition only (the driver routed producer i's j-th return
-            # object to consumer j)
-            pairs = [(i, b) for i, b in enumerate(incoming) if b is not None and len(b[0])]
         else:
-            # incoming = one dict per producer, {dest: post entry} through
-            # the mailbox or {dest: block} in process; take this partition's
             pairs = []
-            for i, g in enumerate(incoming):
+            for i, g in enumerate(posts):
                 b = g.get(self.part_id) if g else None
                 if b is not None and self.mailbox is not None:
                     b = self.mailbox.read(i, superstep - 1, b)
@@ -500,7 +487,7 @@ class PartitionWorker:
             blocks_out = _split_by_partition(payload, self.P)
         self.last_out = blocks_out
         t_post = time.perf_counter()
-        post = self.mailbox.post(superstep, blocks_out) if self.mailbox is not None else None
+        post = self.mailbox.post(superstep, blocks_out) if self.mailbox is not None else blocks_out
         exchange_s += time.perf_counter() - t_post
 
         meta = {
@@ -514,13 +501,17 @@ class PartitionWorker:
             "exchange_s": exchange_s,
             "wall_s": time.perf_counter() - t0,
         }
-        if self.routing == "per_dest":
-            # P separate objects; the driver hands each to ONE consumer
-            return tuple([meta] + [blocks_out.get(j) for j in range(self.P)])
-        if self.mailbox is not None:
-            meta["post"] = post
-            return meta
-        return meta, (blocks_out or None)
+        return meta, (post or None)
+
+    def step_split(self, superstep: int, aggr_global: dict, *blocks, use_restored: bool = False):
+        """``step`` as a ``per_dest`` Ray call (module docstring): ``blocks``
+        holds this partition's block from each producer, resolved by Ray
+        before the call; returns the meta and the P outbound blocks as
+        ``1+P`` values, one object each."""
+        meta, post = self.step(superstep, aggr_global,
+                               *(None if b is None else {self.part_id: b} for b in blocks),
+                               use_restored=use_restored)
+        return (meta, *[(post or {}).get(j) for j in range(self.P)])
 
     def _local_index(self, producer: int, dst: np.ndarray) -> np.ndarray:
         """``shard.local_index(dst)``, cached per producer: a producer that

@@ -1507,6 +1507,43 @@ def test_local_supplier_volume_empty_window(ray_session):
     assert len(out) == 0
 
 
+def test_local_supplier_volume_integer_units_exact_and_leaves_no_temp(ray_session):
+    """Unrounded revenue equals a DuckDB sum of integer 1e-4 units (cents
+    times the percent kept) exactly, whatever order the batches arrive
+    in, and the call removes its temp dir of bucketed files."""
+    import glob
+    import tempfile
+
+    import duckdb
+
+    from graphlite_ray.pipelines.relational import q_local_supplier_volume
+
+    sf = "/root/testdata/sf0.001"
+    temps = set(glob.glob(f"{tempfile.gettempdir()}/glr_q5_*"))
+    got = q_local_supplier_volume(sf)
+    assert set(glob.glob(f"{tempfile.gettempdir()}/glr_q5_*")) <= temps
+    exp = duckdb.connect().execute(
+        f"""
+        SELECT n_name, sum(CAST(round(l_extendedprice * 100) AS BIGINT)
+                           * (100 - CAST(round(l_discount * 100) AS BIGINT))) AS units
+        FROM '{sf}/customer.parquet' c, '{sf}/orders.parquet' o,
+             '{sf}/lineitem.parquet' l, '{sf}/supplier.parquet' s,
+             '{sf}/nation.parquet' n, '{sf}/region.parquet' r
+        WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
+          AND l_suppkey = s_suppkey AND c_nationkey = s_nationkey
+          AND s_nationkey = n_nationkey AND n_regionkey = r_regionkey
+          AND r_name = 'ASIA' AND o_orderdate >= DATE '1995-01-01'
+          AND o_orderdate < DATE '1999-01-01'
+        GROUP BY n_name
+        """
+    ).df()
+    exp["revenue"] = exp.pop("units").astype("int64") / 10_000
+    exp = exp.sort_values(["revenue", "n_name"], ascending=[False, True], ignore_index=True)
+    assert len(exp) >= 1
+    assert got["n_name"].tolist() == exp["n_name"].tolist()
+    assert got["revenue"].to_numpy().tobytes() == exp["revenue"].to_numpy().tobytes()
+
+
 def test_small_quantity_revenue_known_values(ray_session, tmp_path):
     """Q17 correlated-aggregate semantics on a hand-checkable table: the
     per-part threshold is 0.2 * avg over ALL that part's lineitems (not
