@@ -425,7 +425,7 @@ def _q_host_edge_counts(sf_dir: str):
 def _q_graph_cliques4(sf_dir: str):
     """Exact 4-clique count of the simple undirected HOST graph
     (pipelines/triangles.py::clique4_count — kClist-style orientation
-    counting, every wide step a bucketed exchange). The engine runs on
+    counting over the shared triangle listing). The engine runs on
     hashed host ids; the count is relabeling-invariant, so the DuckDB
     oracle replays it with a 6-way id-ordered self-join over the staged
     host-STRING edges."""

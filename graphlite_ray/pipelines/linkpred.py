@@ -18,10 +18,10 @@ Scale notes (100 TB):
     here, a capped run logs the count instead of silently truncating.
   - The edge-membership anti-join and the endpoint degree lookups use the
     broadcast sorted pair/degree arrays (one `ray.put`, zero-copy view per
-    task) — valid while the DISTINCT edge set fits a node (the triangle
-    pipeline's `broadcast_limit` contract). Beyond it, both lookups become
-    two more bucketed shuffles keyed on u then v, exactly like
-    `_triangles_impl`'s bucketed path.
+    task) — the triangle listing's broadcast backend, valid while the
+    DISTINCT edge set fits a node (`triangles.SMALL_GRAPH_EDGES`). Beyond
+    it, both lookups would become two more bucketed shuffles keyed on u
+    then v, like the listing's bucketed backend; that path is not built.
 """
 
 from __future__ import annotations
@@ -37,9 +37,11 @@ import ray.data
 
 from graphlite_ray.functions.grouping import grouped_map_bucketed
 from graphlite_ray.pipelines.triangles import (
-    PAIR_DTYPE,
     _broadcast_refs,
     _canonical_simple_edges,
+    _edge_mask,
+    _emit_all_wedges,
+    _wedge_spans,
 )
 
 logger = logging.getLogger(__name__)
@@ -52,40 +54,19 @@ def _make_wedge_emitter(max_center_degree: int | None):
     within the group — ALL of v's adjacency rows co-bucket by key."""
 
     def _emit(g: pd.DataFrame) -> pd.DataFrame:
-        arr = g[["v", "n"]].to_numpy()
-        order = np.lexsort((arr[:, 1], arr[:, 0]))
-        v_s, n_s = arr[order, 0], arr[order, 1]
-        starts = np.flatnonzero(np.concatenate(([True], v_s[1:] != v_s[:-1])))
-        ends = np.concatenate((starts[1:], [len(v_s)]))
-        lo_out, hi_out, aa_out = [], [], []
-        dropped = 0
-        for s, t in zip(starts, ends):
-            k = t - s
-            if k < 2:
-                continue
-            if max_center_degree is not None and k > max_center_degree:
-                dropped += 1
-                continue
-            nbrs = n_s[s:t]
-            i, j = np.triu_indices(k, k=1)
-            u, w = nbrs[i], nbrs[j]
-            lo_out.append(np.minimum(u, w))
-            hi_out.append(np.maximum(u, w))
-            aa_out.append(np.full(len(u), 1.0 / np.log(float(k))))
-        if dropped:
-            logger.warning("link_prediction: skipped %d centers over degree cap", dropped)
-        if not lo_out:
-            return pd.DataFrame(
-                {
-                    "lo": np.empty(0, np.int64),
-                    "hi": np.empty(0, np.int64),
-                    "cn": np.empty(0, np.int64),
-                    "aa": np.empty(0, np.float64),
-                }
-            )
-        lo = np.concatenate(lo_out)
-        hi = np.concatenate(hi_out)
-        aa = np.concatenate(aa_out)
+        v_s, n_s, starts, ends = _wedge_spans(g, ["v"], "n")
+        k = ends - starts
+        keep = k >= 2
+        if max_center_degree is not None:
+            over = keep & (k > max_center_degree)
+            if over.any():
+                logger.warning(
+                    "link_prediction: skipped %d centers over degree cap", int(over.sum())
+                )
+            keep &= ~over
+        k = k[keep]
+        _, lo, hi = _emit_all_wedges(v_s, n_s, starts[keep], ends[keep])
+        aa = np.repeat(1.0 / np.log(k.astype(np.float64)), k * (k - 1) // 2)
         # per-bucket partial combine before the pair shuffle
         key = pd.DataFrame({"lo": lo, "hi": hi, "cn": 1, "aa": aa})
         out = key.groupby(["lo", "hi"], as_index=False).agg(
@@ -115,12 +96,8 @@ def _make_pair_finalizer(e_ref, d_ref, min_common: int):
         )
         lo = agg["lo"].to_numpy(np.int64)
         hi = agg["hi"].to_numpy(np.int64)
-        pairs = np.empty(len(lo), PAIR_DTYPE)
-        pairs["lo"], pairs["hi"] = lo, hi
-        pos = np.clip(np.searchsorted(e, pairs), 0, len(e) - 1)
-        non_edge = e[pos] != pairs
         cn = agg["cn"].to_numpy(np.int64)
-        keep = non_edge & (cn >= min_common)
+        keep = ~_edge_mask(e, lo, hi) & (cn >= min_common)
         lo, hi, cn = lo[keep], hi[keep], cn[keep]
         aa = agg["aa"].to_numpy(np.float64)[keep]
         du = deg_vals[np.searchsorted(deg_vids, lo)].astype(np.float64)

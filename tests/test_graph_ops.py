@@ -36,9 +36,11 @@ def _simple_pairs(src, dst):
     return {(min(s, d), max(s, d)) for s, d in zip(src, dst) if s != d}
 
 
-@pytest.mark.parametrize("broadcast_limit", [2_000_000, 0])
-def test_vertex_triangle_counts_exact(graph, broadcast_limit):
-    from graphlite_ray.pipelines.triangles import vertex_triangle_counts
+@pytest.mark.parametrize("edge_limit", [2_000_000, 0])
+def test_vertex_triangle_counts_exact(graph, tmp_path, monkeypatch, edge_limit):
+    from graphlite_ray.pipelines import triangles
+
+    monkeypatch.setattr(triangles, "SMALL_GRAPH_EDGES", edge_limit)
 
     src, dst = graph
     pairs = _simple_pairs(src, dst)
@@ -56,7 +58,7 @@ def test_vertex_triangle_counts_exact(graph, broadcast_limit):
             tri[v] = tri.get(v, 0) + 1
 
     res = (
-        vertex_triangle_counts(_edges_ds(src, dst), broadcast_limit=broadcast_limit)
+        triangles.vertex_triangle_counts(_edges_ds(src, dst), str(tmp_path))
         .to_pandas()
         .sort_values("vertex_id", ignore_index=True)
     )
@@ -405,13 +407,18 @@ def _brute_truss(pairs, k):
             return {}
 
 
-@pytest.mark.parametrize("k", [3, 5])
-def test_k_truss_matches_bruteforce(graph, tmp_path, k):
-    from graphlite_ray.pipelines.triangles import k_truss
+@pytest.mark.parametrize(
+    "k,edge_limit",
+    [(3, 2_000_000), (5, 2_000_000), (3, 0), (5, 0)],
+    ids=["3", "5", "3-bucketed", "5-bucketed"],
+)
+def test_k_truss_matches_bruteforce(graph, tmp_path, monkeypatch, k, edge_limit):
+    from graphlite_ray.pipelines import triangles
 
+    monkeypatch.setattr(triangles, "SMALL_GRAPH_EDGES", edge_limit)
     src, dst = graph
     got = (
-        k_truss(_edges_ds(src, dst), k, str(tmp_path / f"kt{k}"), B=4)
+        triangles.k_truss(_edges_ds(src, dst), k, str(tmp_path / f"kt{k}"), B=4)
         .to_pandas()
         .sort_values(["lo", "hi"], ignore_index=True)
     )

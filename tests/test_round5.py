@@ -1182,11 +1182,14 @@ def test_quantized_knn_recall_and_bounds(ray_session):
         assert g[g["rank"] == 1]["vec_id"].iloc[0] == qid  # self-match first
 
 
-def test_transitivity_known_graph(ray_session, tmp_path):
+@pytest.mark.parametrize("edge_limit", [2_000_000, 0], ids=["broadcast", "bucketed"])
+def test_transitivity_known_graph(ray_session, tmp_path, monkeypatch, edge_limit):
     """C = 3T/W on a known graph: triangle 0-1-2 plus pendant 2-3.
     Degrees (2,2,3,1) -> W = 1+1+3+0 = 5, T = 1, C = 0.6. Parallel and
     reversed edges must not change the simple-graph result."""
-    from graphlite_ray.pipelines.triangles import transitivity
+    from graphlite_ray.pipelines import triangles
+
+    monkeypatch.setattr(triangles, "SMALL_GRAPH_EDGES", edge_limit)
 
     df = pd.DataFrame(
         {
@@ -1194,7 +1197,7 @@ def test_transitivity_known_graph(ray_session, tmp_path):
             "dst": [1, 2, 0, 3, 0, 1],  # 1->0 reverse dup, 0->1 parallel dup
         }
     )
-    T, W, C = transitivity(ray.data.from_pandas(df).repartition(2), B=4)
+    T, W, C = triangles.transitivity(ray.data.from_pandas(df).repartition(2), B=4)
     assert (T, W) == (1, 5)
     assert abs(C - 0.6) < 1e-12
 
@@ -1751,13 +1754,16 @@ def test_editdist_pairs_planted_and_random(ray_session):
     assert got == exp
 
 
-def test_clique4_count_brute_force(ray_session):
+@pytest.mark.parametrize("edge_limit", [2_000_000, 0], ids=["broadcast", "bucketed"])
+def test_clique4_count_brute_force(ray_session, monkeypatch, edge_limit):
     """clique4_count vs itertools brute force: K5 (five 4-cliques), a
     random 30-vertex graph, and a disconnected union with self-loops and
     parallel edges (both must be ignored by the simple-graph canon)."""
     import itertools
 
-    from graphlite_ray.pipelines.triangles import clique4_count
+    from graphlite_ray.pipelines import triangles
+
+    monkeypatch.setattr(triangles, "SMALL_GRAPH_EDGES", edge_limit)
 
     def brute4(pairs):
         es = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
@@ -1783,7 +1789,7 @@ def test_clique4_count_brute_force(ray_session):
     ]
     for pairs in cases:
         df = pd.DataFrame(pairs, columns=["src", "dst"])
-        got = clique4_count(ray.data.from_pandas(df).repartition(3), B=8)
+        got = triangles.clique4_count(ray.data.from_pandas(df).repartition(3), B=8)
         assert got == brute4(pairs)
 
 

@@ -1,11 +1,21 @@
 """Triangle count vs trace(A^3)/6 oracle (FIXTURES.md F4)."""
 
+import tempfile
+
 import numpy as np
 import pyarrow as pa
 import pytest
 import ray.data
 
-from graphlite_ray.pipelines.triangles import triangle_count
+from graphlite_ray.pipelines import triangles
+from graphlite_ray.pipelines.triangles import (
+    approx_triangle_count,
+    clique4_count,
+    k_truss,
+    transitivity,
+    triangle_count,
+    vertex_triangle_counts,
+)
 from tests.conftest import random_digraph
 
 
@@ -41,12 +51,43 @@ def test_triangle_random_matches_oracle(tmp_path, n, m, seed):
     assert got == tri_oracle(src, dst)
 
 
-def test_triangle_bucketed_path_matches_broadcast(tmp_path):
-    """Force the large-graph bucketed join path (broadcast_limit=0) and
-    check it agrees with the oracle + the broadcast path."""
+def test_triangle_bucketed_path_matches_broadcast(tmp_path, monkeypatch):
+    """Force the large-graph bucketed backend (no graph fits the broadcast
+    limit) and check it agrees with the oracle + the broadcast backend."""
     src, dst = random_digraph(60, 400, seed=8, with_dangling=False)
     bc = triangle_count(_ds(src, dst), work_dir=str(tmp_path / "a"), B=8)
-    bk = triangle_count(
-        _ds(src, dst), work_dir=str(tmp_path / "b"), B=8, broadcast_limit=0
-    )
+    monkeypatch.setattr(triangles, "SMALL_GRAPH_EDGES", 0)
+    bk = triangle_count(_ds(src, dst), work_dir=str(tmp_path / "b"), B=8)
     assert bc == bk == tri_oracle(src, dst)
+
+
+def test_bucketed_listing_clears_a_reused_work_dir(tmp_path, monkeypatch):
+    """The second graph's wedge (1, 3) at vertex 0 hashes to a pair bucket
+    none of its edges fill; the first graph's edge (1, 3) in that bucket
+    must not close it."""
+    monkeypatch.setattr(triangles, "SMALL_GRAPH_EDGES", 0)
+    lo, hi = [0, 0, 1, 1, 3, 3], [1, 3, 4, 5, 6, 7]
+    assert triangle_count(_ds(lo + [1], hi + [3]), work_dir=str(tmp_path), B=8) == 1
+    assert triangle_count(_ds(lo, hi), work_dir=str(tmp_path), B=8) == 0
+
+
+@pytest.mark.parametrize("edge_limit", [2_000_000, 0], ids=["broadcast", "bucketed"])
+def test_triangle_operators_leave_no_temp_dirs(tmp_path, monkeypatch, edge_limit):
+    """Operators that return numbers clean up the scratch space the
+    bucketed backend needs; the broadcast backend creates none. The lazy
+    Dataset operators need a caller-owned work_dir on the bucketed one."""
+    monkeypatch.setattr(triangles, "SMALL_GRAPH_EDGES", edge_limit)
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    src, dst = random_digraph(30, 150, 5, with_dangling=False)
+    assert triangle_count(_ds(src, dst), B=4) == tri_oracle(src, dst)
+    transitivity(_ds(src, dst), B=4)
+    approx_triangle_count(_ds(src, dst), pct=50, B=4)
+    clique4_count(_ds(src, dst), B=4)
+    vertex_triangle_counts(_ds(src, dst), str(tmp_path / "vtri"), B=4).count()
+    k_truss(_ds(src, dst), 4, str(tmp_path / "truss"), B=4).count()
+    if edge_limit == 0:
+        with pytest.raises(ValueError, match="work_dir"):
+            vertex_triangle_counts(_ds(src, dst), B=4)
+    assert list(scratch.iterdir()) == []
