@@ -720,10 +720,9 @@ def q_customers_without_orders(
 
         from graphlite_ray.pipelines.joins import anti_join_bucketed
 
-        out = anti_join_bucketed(
-            cust, "c_custkey", final, "o_custkey",
-            tempfile.mkdtemp(prefix="glr_anti_"), B=32,
-        ).to_pandas()
+        # the buckets are read back before the dir goes: to_pandas materializes
+        with tempfile.TemporaryDirectory(prefix="glr_anti_") as tmp:
+            out = anti_join_bucketed(cust, "c_custkey", final, "o_custkey", tmp, B=32).to_pandas()
     if "c_custkey" not in out.columns:  # empty result loses the schema
         out = pd.DataFrame(
             {"c_custkey": pd.Series([], dtype="int64"), "c_name": pd.Series([], dtype="str")}

@@ -8,7 +8,7 @@ import pandas as pd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphlite_ray.worker import COMBINERS
+from graphlite_ray.worker import COMBINERS, _stable_order
 
 combine_sum = COMBINERS["sum"].reduce
 combine_min = COMBINERS["min"].reduce
@@ -131,3 +131,43 @@ def test_sum_row_dense_delivery_is_bitwise_combine_sum(dst_list, seed):
     got = COMBINERS["sum"].deliver(51, idx, val)
     want = combine_sum(idx, val)
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+# ---------------------------------------- radix order == numpy's lexsort
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def sort_columns(draw, n):
+    """One column of ``n`` rows: int64 over the full range (extremes
+    included), with zero span, with a span just past 2**16 or 2**32, or
+    float64 with NaN, +-0.0 and +-inf."""
+    kind = draw(st.sampled_from(["int64", "constant", "span16", "span32", "float64"]))
+    if kind == "float64":
+        elems = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -0.0])
+        return np.array(draw(st.lists(elems, min_size=n, max_size=n)), np.float64)
+    if kind == "constant":
+        return np.full(n, draw(st.integers(INT64.min, INT64.max)), np.int64)
+    if kind == "int64":
+        elems = st.integers(INT64.min, INT64.max) | st.sampled_from([INT64.min, INT64.max, -1, 0])
+        return np.array(draw(st.lists(elems, min_size=n, max_size=n)), np.int64)
+    span = 2**16 if kind == "span16" else 2**32
+    base = draw(st.integers(INT64.min, INT64.max - 2 * span))
+    off = st.integers(0, 2 * span) | st.sampled_from([0, span - 1, span, span + 1])
+    return base + np.array(draw(st.lists(off, min_size=n, max_size=n)), np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 120).flatmap(lambda n: st.lists(sort_columns(n), min_size=1, max_size=3)))
+def test_stable_order_is_lexsort(cols):
+    got = _stable_order(*cols)
+    assert got.tobytes() == np.lexsort(cols).astype(got.dtype).tobytes()
+
+
+def test_stable_order_edge_shapes():
+    one = np.array([INT64.min], np.int64)
+    assert _stable_order(one).tolist() == [0]
+    assert _stable_order(np.empty(0, np.int64)).tolist() == []
+    ext = np.array([INT64.max, INT64.min, 0, -1, INT64.max, INT64.min], np.int64)
+    assert _stable_order(ext).tolist() == np.lexsort((ext,)).tolist()

@@ -73,6 +73,19 @@ def test_anti_join_bucketed_matches_broadcast():
     pd.testing.assert_frame_equal(a, b)
 
 
+def test_anti_join_bucketed_removes_its_bucket_dir():
+    import tempfile
+
+    from graphlite_ray.pipelines.relational import q_customers_without_orders
+
+    def anti_dirs():
+        return {n for n in os.listdir(tempfile.gettempdir()) if n.startswith("glr_anti_")}
+
+    before = anti_dirs()
+    q_customers_without_orders(SF, max_broadcast_keys=0)
+    assert anti_dirs() - before == set()
+
+
 def test_native_join_strategy_recorded():
     from graphlite_ray.pipelines import relational as R
     from graphlite_ray.pipelines.joins import native_join_available

@@ -1,6 +1,6 @@
-"""Static routing plan (`worker.py` module docstring): "sum" programs that
-send on every out-edge are combined and split through slots computed once
-per run.
+"""Static routing plan (`worker.py` module docstring): programs with a
+reducing combiner that send on every out-edge are combined and split
+through slots computed once per run.
 The plan must be invisible in results — blocks, checkpoints and final
 values bit-identical to the sort path — and the consumer's per-producer
 ``local_index`` cache must never serve ids a producer did not send."""
@@ -68,6 +68,37 @@ def test_plan_sum_is_bitwise_combine_sum(shard, seed):
     val = rng.standard_normal(len(indices)) * 10.0 ** rng.integers(-3, 6, len(indices))
     got = RoutingPlan(indices, P).sum(val)
     _assert_blocks_bitwise_equal(got, _split_by_partition(COMBINERS["sum"].reduce(indices, val), P))
+
+
+@st.composite
+def keyed_messages(draw, combiner, n):
+    """The ``cols`` of ``n`` messages under ``combiner``: float64 or int64
+    values with NaN and +-0.0 for "min"/"max", random 63-bit keys from a
+    small pool (so (dst, key) segments repeat) for the keyed rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if COMBINERS[combiner].cols == ("val",):
+        if draw(st.booleans()):
+            return (rng.integers(-(2**63), 2**63 - 1, n),)
+        pool = np.concatenate([[np.nan, 0.0, -0.0, np.inf, -np.inf], rng.standard_normal(4)])
+        return (pool[rng.integers(0, len(pool), n)],)
+    keys = rng.integers(0, 2**63 - 1, draw(st.integers(1, 8)))
+    cnt = (rng.integers(0, 5, n) if draw(st.booleans())
+           else np.array([np.nan, 0.0, -0.0, 1.5, 2.0])[rng.integers(0, 5, n)])
+    return keys[rng.integers(0, len(keys), n)], cnt
+
+
+@settings(max_examples=120, deadline=None)
+@given(planned_shards(), st.sampled_from(["min", "max", "sum_by_key", "max_by_key"]),
+       st.booleans(), st.data())
+def test_plan_reduce_is_bitwise_combine_then_split(shard, combiner, wide_ids, data):
+    indices, P = shard
+    if wide_ids:
+        # spread the ids over 63 bits; (a * (m * P + 1)) % P == a % P
+        indices = indices * ((2**48 // P) * P + 1)
+    cols = data.draw(keyed_messages(combiner, len(indices)))
+    row = COMBINERS[combiner]
+    got = RoutingPlan(indices, P).reduce(row.ufunc, *cols)
+    _assert_blocks_bitwise_equal(got, _split_by_partition(row.reduce(indices, *cols), P))
 
 
 # --------------------------------------------------------- in-process driving
